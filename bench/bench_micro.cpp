@@ -99,6 +99,87 @@ BENCHMARK(BM_MatmulParallel)
     ->Args({256, 0})
     ->UseRealTime();
 
+// ---- Backward GEMMs of the training tape -----------------------------------
+//
+// The two products every matmul/fused-cell backward runs: dA = G·Bᵀ
+// (matmul_bt_into) and dB = Aᵀ·G (matmul_at_accumulate), at the shapes of a
+// Table-I training step (N=256 nodes, 4 features, gcn 12, lstm 24, so the
+// LSTM pre-activations are 4·24 = 96 wide). Serial, like the trainer's
+// per-worker kernels. The last arg picks the table: 0 = scalar reference,
+// 1 = active ISA (identical bits either way).
+
+void set_isa_arg(std::int64_t active) {
+  if (active != 0) {
+    simd::reset_isa();
+  } else {
+    simd::force_isa(simd::Isa::kScalar);
+  }
+}
+
+// Args: rows of G, shared inner dim k, rows of B, table.
+void BM_MatmulBt(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto cols = static_cast<std::size_t>(state.range(2));
+  ThreadPool::set_global_threads(1);
+  set_isa_arg(state.range(3));
+  Rng rng(11);
+  const Matrix g = rng.normal_matrix(rows, k, 1.0);
+  const Matrix b = rng.normal_matrix(cols, k, 1.0);
+  Matrix out(rows, cols);
+  for (auto _ : state) {
+    matmul_bt_into(g, b, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows * k * cols));
+  simd::reset_isa();
+  ThreadPool::set_global_threads(0);
+}
+BENCHMARK(BM_MatmulBt)
+    ->Args({256, 12, 4, 0})    // GCN input grad: dX = dY·Wᵀ
+    ->Args({256, 12, 4, 1})
+    ->Args({256, 96, 16, 0})   // LSTM input grad: dX = dGates·W_ihᵀ
+    ->Args({256, 96, 16, 1})
+    ->Args({256, 96, 24, 0})   // LSTM hidden grad: dH = dGates·W_hhᵀ
+    ->Args({256, 96, 24, 1});
+
+// Args: rows n of A and G, columns p of A, columns m of G, percent of exact
+// zeros in A (the masked, zero-filled inputs), table.
+void BM_MatmulAt(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto p = static_cast<std::size_t>(state.range(1));
+  const auto m = static_cast<std::size_t>(state.range(2));
+  const double zeros = static_cast<double>(state.range(3)) / 100.0;
+  ThreadPool::set_global_threads(1);
+  set_isa_arg(state.range(4));
+  Rng rng(12);
+  Matrix a = rng.normal_matrix(n, p, 1.0);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (rng.bernoulli(zeros)) a.data()[i] = 0.0;
+  }
+  const Matrix g = rng.normal_matrix(n, m, 1.0);
+  Matrix out(p, m);
+  for (auto _ : state) {
+    out.fill(0.0);
+    matmul_at_accumulate(a, g, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * p * m));
+  simd::reset_isa();
+  ThreadPool::set_global_threads(0);
+}
+BENCHMARK(BM_MatmulAt)
+    ->Args({256, 4, 12, 40, 0})   // GCN weight grad: dW = Xᵀ·dY, 40% MCAR
+    ->Args({256, 4, 12, 40, 1})
+    ->Args({256, 16, 96, 0, 0})   // LSTM input weight grad: dW_ih = Xᵀ·dGates
+    ->Args({256, 16, 96, 0, 1})
+    ->Args({256, 24, 96, 0, 0})   // LSTM hidden weight grad: dW_hh = Hᵀ·dGates
+    ->Args({256, 24, 96, 0, 1});
+
 // Chebyshev GCN forward+backward on a larger graph, across pool sizes — the
 // model-level view of the parallel backend (matmuls dominate).
 void BM_ChebGcnThreaded(benchmark::State& state) {

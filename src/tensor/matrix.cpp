@@ -374,25 +374,26 @@ void matmul_bt_into(const Matrix& a, const Matrix& b, Matrix& out) {
   const std::size_t k = a.cols();
   const std::size_t rows = a.rows();
   const std::size_t cols = b.rows();
-  const double* ap = a.data();
+  // Stage Bᵀ (k x cols) once, then run the C += A·Bᵀ row kernel on a zeroed
+  // C. Each element then starts at 0.0 and adds round(a_ik * b_jk) for
+  // ascending k — the single-accumulator dot product, term for term, with
+  // SIMD lanes over independent output columns instead of over k. The
+  // staging buffer is per calling thread and only grows, so steady-state
+  // backward passes never allocate.
+  thread_local std::vector<double> bt;
+  if (bt.size() < k * cols) bt.resize(k * cols);
   const double* bp = b.data();
+  double* btp = bt.data();
+  for (std::size_t j = 0; j < cols; ++j) {
+    for (std::size_t kk = 0; kk < k; ++kk) btp[kk * cols + j] = bp[j * k + kk];
+  }
+  out.fill(0.0);
+  const double* ap = a.data();
   double* op = out.data();
-  // Row-partitioned; each dot product accumulates k-terms in ascending
-  // order with a single accumulator, matching the serial kernel exactly.
-  // Stays scalar even under SIMD dispatch: vectorizing over k would split
-  // the single accumulator into lanes (reassociation), breaking the bitwise
-  // contract. The matmul/matmul_at/spmm hot paths don't have this shape.
+  const simd::Kernels& kern = simd::active_kernels();
   for_rows(rows, rows * cols * k,
-           [ap, bp, op, k, cols](std::size_t i0, std::size_t i1) {
-             for (std::size_t i = i0; i < i1; ++i) {
-               const double* arow = ap + i * k;
-               for (std::size_t j = 0; j < cols; ++j) {
-                 const double* brow = bp + j * k;
-                 double s = 0.0;
-                 for (std::size_t kk = 0; kk < k; ++kk) s += arow[kk] * brow[kk];
-                 op[i * cols + j] = s;
-               }
-             }
+           [ap, btp, op, k, cols, &kern](std::size_t i0, std::size_t i1) {
+             kern.matmul_rows(ap, btp, op, k, cols, i0, i1);
            });
 }
 
@@ -413,21 +414,13 @@ void matmul_at_accumulate(const Matrix& a, const Matrix& b, Matrix& out) {
   const double* ap = a.data();
   const double* bp = b.data();
   double* op = out.data();
-  // Partitioned over output rows i (columns of A); the reduction dimension r
-  // stays innermost-ascending per element, so any row partition gives the
-  // same bits as the serial r-outer seed kernel. The row update is the SIMD
-  // axpy — lanes hold independent j-columns, so vectorizing keeps bits.
+  // Partitioned over output rows i (columns of A); the row kernel keeps the
+  // reduction dimension r ascending per element, so any row partition gives
+  // the same bits as the serial r-outer seed kernel.
   const simd::Kernels& kern = simd::active_kernels();
   for_rows(p, n * p * m,
            [ap, bp, op, n, p, m, &kern](std::size_t i0, std::size_t i1) {
-             for (std::size_t i = i0; i < i1; ++i) {
-               double* orow = op + i * m;
-               for (std::size_t r = 0; r < n; ++r) {
-                 const double av = ap[r * p + i];
-                 if (av == 0.0) continue;
-                 kern.axpy(orow, av, bp + r * m, m);
-               }
-             }
+             kern.matmul_at_rows(ap, bp, op, n, p, m, i0, i1);
            });
 }
 

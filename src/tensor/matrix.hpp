@@ -163,12 +163,13 @@ void matmul_naive(const Matrix& a, const Matrix& b, Matrix& out);
 /// C = A * B^T without materializing the transpose.
 [[nodiscard]] Matrix matmul_bt(const Matrix& a, const Matrix& b);
 /// C = A * B^T into a preallocated output. Every element is overwritten
-/// (single-accumulator dot products), so `out` need not be zeroed.
+/// (0.0 plus its k-terms in ascending order), so `out` need not be zeroed.
 void matmul_bt_into(const Matrix& a, const Matrix& b, Matrix& out);
 /// C = A^T * B without materializing the transpose.
 [[nodiscard]] Matrix matmul_at(const Matrix& a, const Matrix& b);
 /// C += A^T * B into a preallocated output; zero `out` first for the plain
-/// product. Same ascending-r accumulation order as matmul_at.
+/// product. Same ascending-r accumulation order as matmul_at, and terms with
+/// a_ri == 0 are skipped (the spmm_t parity in tensor/csr.hpp).
 void matmul_at_accumulate(const Matrix& a, const Matrix& b, Matrix& out);
 
 [[nodiscard]] Matrix operator+(const Matrix& a, const Matrix& b);

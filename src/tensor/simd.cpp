@@ -144,6 +144,24 @@ void s_spmm_rows(const std::size_t* row_ptr, const std::size_t* col_idx,
   }
 }
 
+// C += Aᵀ·B over output rows [i0, i1) of C: output row i walks column i of
+// A for ascending r and, for every nonzero a_ri, adds round(a_ri * b_rj) to
+// each element — the r-ascending order with the zero skip that the CSR
+// transpose SpMM reproduces term for term.
+void s_matmul_at_rows(const double* ap, const double* bp, double* cp,
+                      std::size_t n, std::size_t p, std::size_t m,
+                      std::size_t i0, std::size_t i1) {
+  for (std::size_t i = i0; i < i1; ++i) {
+    double* crow = cp + i * m;
+    for (std::size_t r = 0; r < n; ++r) {
+      const double av = ap[r * p + i];
+      if (av == 0.0) continue;
+      const double* brow = bp + r * m;
+      for (std::size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
 // ---- scalar float kernels --------------------------------------------------
 
 void s_saxpy(float* y, float a, const float* x, std::size_t n) {
@@ -222,8 +240,8 @@ void s_gru_step(const float* gx, const float* gh, const float* bias, float* h,
 constexpr Kernels kScalarKernels = {
     s_add,   s_sub,      s_mul,         s_scale,  s_add_into,
     s_sub_into, s_mul_into, s_axpy,     s_fmadd,  s_mul2_add,
-    s_matmul_rows, s_spmm_rows, s_saxpy, s_smatmul_rows, s_sspmm_rows,
-    s_smatmul_panel, s_lstm_step, s_gru_step,
+    s_matmul_rows, s_spmm_rows, s_matmul_at_rows, s_saxpy, s_smatmul_rows,
+    s_sspmm_rows, s_smatmul_panel, s_lstm_step, s_gru_step,
 };
 
 // ---- dispatch --------------------------------------------------------------

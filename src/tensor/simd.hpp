@@ -51,7 +51,9 @@ struct Kernels {
   /// out[i] = a[i] * b[i]
   void (*mul_into)(double* out, const double* a, const double* b,
                    std::size_t n);
-  /// y[i] += a * x[i] — the SpMM / Aᵀ·B row update.
+  /// y[i] += a * x[i] — a flat elementwise update (the tape's scale
+  /// backward). GEMM-shaped work goes through the row-range kernels below,
+  /// never through a per-row axpy call.
   void (*axpy)(double* y, double a, const double* x, std::size_t n);
   /// y[i] += a[i] * b[i] (two roundings) — elementwise-mul backward and the
   /// fused-cell gradient sections.
@@ -75,6 +77,14 @@ struct Kernels {
   void (*spmm_rows)(const std::size_t* row_ptr, const std::size_t* col_idx,
                     const double* vals, const double* b, double* c,
                     std::size_t m, std::size_t i0, std::size_t i1);
+  /// C += Aᵀ·B over output rows [i0, i1) of C. A: (n x p), B: (n x m),
+  /// C: (p x m), row-major; output row i reads column i of A. Per element:
+  /// seed from C, then for ascending r add round(a_ri * b_rj), SKIPPING every
+  /// r with a_ri == 0 — the structural order of the CSR transpose SpMM, which
+  /// is what keeps spmm_t(csr(A), B) == matmul_at(A, B) bitwise.
+  void (*matmul_at_rows)(const double* a, const double* b, double* c,
+                         std::size_t n, std::size_t p, std::size_t m,
+                         std::size_t i0, std::size_t i1);
 
   // ---- float kernels: ULP-bounded contract (FMA allowed) ---------------
   void (*saxpy)(float* y, float a, const float* x, std::size_t n);

@@ -221,6 +221,117 @@ void v_spmm_rows(const std::size_t* row_ptr, const std::size_t* col_idx,
   }
 }
 
+// One 4-row x 4·NV-column tile of C += Aᵀ·B, held in registers across the
+// whole r loop. `a` points at A[0][i] (row stride p), so the four rows'
+// factors A[r][i..i+3] are one load per r; `b` at B[0][j], `c` at C[i][j].
+// An r step whose four factors are all nonzero is plain mul + add per lane.
+// Otherwise each row with a zero factor keeps its old accumulator through a
+// blend, so a skipped term never reaches C — not even to turn -0.0 into
+// +0.0, or a finite value into NaN against an inf/NaN in B.
+template <int NV>
+inline void at_tile4(const double* a, std::size_t p, const double* b,
+                     std::size_t m, double* c, std::size_t n) {
+  __m256d t[4][NV];
+#pragma GCC unroll 4
+  for (int q = 0; q < 4; ++q) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) t[q][v] = _mm256_loadu_pd(c + q * m + 4 * v);
+  }
+  const __m256d zero = _mm256_setzero_pd();
+  for (std::size_t r = 0; r < n; ++r) {
+    const double* ar = a + r * p;
+    const double* br = b + r * m;
+    __m256d bv[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) bv[v] = _mm256_loadu_pd(br + 4 * v);
+    const __m256d any_zero =
+        _mm256_cmp_pd(_mm256_loadu_pd(ar), zero, _CMP_EQ_OQ);
+    if (_mm256_movemask_pd(any_zero) == 0) {
+#pragma GCC unroll 4
+      for (int q = 0; q < 4; ++q) {
+        const __m256d av = _mm256_broadcast_sd(ar + q);
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+          t[q][v] = _mm256_add_pd(t[q][v], _mm256_mul_pd(av, bv[v]));
+        }
+      }
+    } else {
+#pragma GCC unroll 4
+      for (int q = 0; q < 4; ++q) {
+        const __m256d av = _mm256_broadcast_sd(ar + q);
+        const __m256d skip = _mm256_cmp_pd(av, zero, _CMP_EQ_OQ);
+#pragma GCC unroll 2
+        for (int v = 0; v < NV; ++v) {
+          t[q][v] = _mm256_blendv_pd(
+              _mm256_add_pd(t[q][v], _mm256_mul_pd(av, bv[v])), t[q][v],
+              skip);
+        }
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int q = 0; q < 4; ++q) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) _mm256_storeu_pd(c + q * m + 4 * v, t[q][v]);
+  }
+}
+
+// C += Aᵀ·B over output rows [i0, i1) of C (A: n x p, B: n x m, C: p x m).
+// 4 output rows at a time in 8- then 4-column register tiles (at_tile4),
+// r innermost; leftover columns run scalar, leftover rows one at a time with
+// a scalar skip test. Per element
+// the sequence is the scalar kernel's: seed from C, add round(a_ri * b_rj)
+// for ascending r, skip a_ri == 0 — so any row partition gives the same bits.
+void v_matmul_at_rows(const double* ap, const double* bp, double* cp,
+                      std::size_t n, std::size_t p, std::size_t m,
+                      std::size_t i0, std::size_t i1) {
+  std::size_t i = i0;
+  for (; i + 4 <= i1; i += 4) {
+    const double* a = ap + i;
+    double* c = cp + i * m;
+    std::size_t j = 0;
+    for (; j + 8 <= m; j += 8) at_tile4<2>(a, p, bp + j, m, c + j, n);
+    if (j + 4 <= m) {
+      at_tile4<1>(a, p, bp + j, m, c + j, n);
+      j += 4;
+    }
+    for (; j < m; ++j) {
+      for (std::size_t q = 0; q < 4; ++q) {
+        double t = c[q * m + j];
+        for (std::size_t r = 0; r < n; ++r) {
+          const double av = a[r * p + q];
+          if (av == 0.0) continue;
+          t += av * bp[r * m + j];
+        }
+        c[q * m + j] = t;
+      }
+    }
+  }
+  for (; i < i1; ++i) {
+    double* crow = cp + i * m;
+    std::size_t j = 0;
+    for (; j + 4 <= m; j += 4) {
+      __m256d t = _mm256_loadu_pd(crow + j);
+      for (std::size_t r = 0; r < n; ++r) {
+        const double av = ap[r * p + i];
+        if (av == 0.0) continue;
+        t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_set1_pd(av),
+                                           _mm256_loadu_pd(bp + r * m + j)));
+      }
+      _mm256_storeu_pd(crow + j, t);
+    }
+    for (; j < m; ++j) {
+      double t = crow[j];
+      for (std::size_t r = 0; r < n; ++r) {
+        const double av = ap[r * p + i];
+        if (av == 0.0) continue;
+        t += av * bp[r * m + j];
+      }
+      crow[j] = t;
+    }
+  }
+}
+
 // ---- float serving kernels (ULP contract — FMA on) -------------------------
 
 void v_saxpy(float* y, float a, const float* x, std::size_t n) {
@@ -537,8 +648,8 @@ void v_gru_step(const float* gx, const float* gh, const float* bias, float* h,
 constexpr Kernels kAvx2Kernels = {
     v_add,   v_sub,      v_mul,         v_scale,  v_add_into,
     v_sub_into, v_mul_into, v_axpy,     v_fmadd,  v_mul2_add,
-    v_matmul_rows, v_spmm_rows, v_saxpy, v_smatmul_rows, v_sspmm_rows,
-    v_smatmul_panel, v_lstm_step, v_gru_step,
+    v_matmul_rows, v_spmm_rows, v_matmul_at_rows, v_saxpy, v_smatmul_rows,
+    v_sspmm_rows, v_smatmul_panel, v_lstm_step, v_gru_step,
 };
 
 }  // namespace

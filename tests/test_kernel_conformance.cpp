@@ -8,6 +8,9 @@
 //    for element, bit for bit. Checked at the raw-buffer level (the kernel
 //    tables from kernels_for) AND through the Matrix/CsrMatrix/Tape layers
 //    at 1/2/4/8 threads, so ISA choice can never perturb training results.
+//  * BITWISE (reference loops): the tape's backward GEMMs, matmul_bt and
+//    matmul_at, == the naive loops of tests/reference_gemm.hpp under both
+//    ISAs, including the a_ri == 0 skip against inf/NaN in B and -0.0 in C.
 //  * BITWISE (sparse vs dense): spmm(csr(A), B) == matmul(A, B) and
 //    spmm_t(csr(A), B) == matmul_at(A, B) with tol = 0 CSR, under BOTH ISAs.
 //  * BITWISE (fused vs unfused): the fused LSTM/GRU tape cells match the
@@ -39,6 +42,8 @@
 #include "tensor/parallel.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/simd.hpp"
+
+#include "reference_gemm.hpp"
 
 namespace rihgcn {
 namespace {
@@ -219,6 +224,118 @@ TEST(KernelConformance, SpmmRowsSimdMatchesScalarBitwise) {
                           sp.values().data(), b.data(), c1.data(), m, 0, n);
             EXPECT_EQ(c0, c1) << "n=" << n << " m=" << m << " d=" << density;
           });
+    }
+  }
+}
+
+// ---- Backward GEMMs: matmul_bt (A·Bᵀ) and matmul_at (Aᵀ·B) -----------------
+
+// Output sizes cover the 4-row groups, the 8- and 4-column register tiles and
+// their tails; inner sizes include the empty reduction.
+const std::size_t kGemmDims[] = {1, 3, 4, 5, 13, 17, 96};
+const std::size_t kGemmInner[] = {0, 1, 7, 96};
+
+// Operands for C += Aᵀ·B (A: k x p, B: k x m, C: p x m) built to pin the
+// a_ri == 0 skip. A has ~30% exact zeros (half of them -0.0), an all-zero
+// column 0 and an all-zero row every third r; B holds +inf, -inf and NaN in
+// exactly those rows, so a term the skip should elide turns its output into
+// NaN. The seed of C has -0.0 entries, all of row 0 among them (column 0 of
+// A adds nothing), which a skipped term of round(0 * b) = +0.0 would flip.
+struct AtCase {
+  Matrix a, b, seed;
+};
+
+AtCase make_at_case(std::size_t k, std::size_t p, std::size_t m, Rng& rng) {
+  const double non_finite[] = {std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()};
+  AtCase c{Matrix(k, p), Matrix(k, m), Matrix(p, m)};
+  for (std::size_t r = 0; r < k; ++r) {
+    const bool zero_row = r % 3 == 2;
+    for (std::size_t i = 0; i < p; ++i) {
+      const bool zero = zero_row || i == 0 || rng.bernoulli(0.3);
+      c.a(r, i) = zero ? ((r + i) % 2 == 0 ? 0.0 : -0.0) : rng.normal(0.0, 1.0);
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      c.b(r, j) = zero_row ? non_finite[(r + j) % 3] : rng.normal(0.0, 1.0);
+    }
+  }
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      c.seed(i, j) = i == 0 || (i + j) % 5 == 0 ? -0.0 : rng.normal(0.0, 1.0);
+    }
+  }
+  return c;
+}
+
+TEST(KernelConformance, MatmulAtRowsSimdMatchesScalarBitwise) {
+  if (!avx2_available()) GTEST_SKIP() << "AVX2 not available on this host";
+  Rng rng(53);
+  for (std::size_t p : kGemmDims) {
+    for (std::size_t m : kGemmDims) {
+      for (std::size_t k : kGemmInner) {
+        const AtCase c = make_at_case(k, p, m, rng);
+        expect_table_parity([&](const simd::Kernels& scalar,
+                                const simd::Kernels& vec) {
+          Matrix c0 = c.seed, c1 = c.seed;
+          scalar.matmul_at_rows(c.a.data(), c.b.data(), c0.data(), k, p, m, 0, p);
+          vec.matmul_at_rows(c.a.data(), c.b.data(), c1.data(), k, p, m, 0, p);
+          EXPECT_TRUE(ref::same_bits(c0, c1))
+              << "p=" << p << " m=" << m << " k=" << k;
+          // Threaded callers hand the table arbitrary [i0, i1) chunks.
+          if (p >= 3) {
+            Matrix r0 = c.seed, r1 = c.seed;
+            scalar.matmul_at_rows(c.a.data(), c.b.data(), r0.data(), k, p, m, 1,
+                               p - 1);
+            vec.matmul_at_rows(c.a.data(), c.b.data(), r1.data(), k, p, m, 1,
+                               p - 1);
+            EXPECT_TRUE(ref::same_bits(r0, r1))
+                << "partial p=" << p << " m=" << m << " k=" << k;
+          }
+        });
+      }
+    }
+  }
+}
+
+// Through the Matrix layer under both ISAs at 1/2/4 threads, against the
+// naive loops of tests/reference_gemm.hpp. matmul_bt has no zero skip, so
+// its A·Bᵀ operands are the transposed A/B above with NaN replaced by +inf:
+// 0·inf then yields the same default NaN in kernel and reference alike. Its
+// output starts as -0.0, which the 0.0-seeded result must overwrite.
+TEST(KernelConformance, BackwardGemmsMatchNaiveReferencesAcrossIsasAndThreads) {
+  Rng rng(59);
+  for (std::size_t p : kGemmDims) {
+    for (std::size_t m : kGemmDims) {
+      for (std::size_t k : kGemmInner) {
+        const AtCase c = make_at_case(k, p, m, rng);
+        Matrix want_at = c.seed;
+        ref::matmul_at_accumulate(c.a, c.b, want_at);
+        const Matrix bt_a = c.a.transposed();
+        Matrix bt_b = c.b.transposed();
+        for (std::size_t i = 0; i < bt_b.size(); ++i) {
+          if (std::isnan(bt_b.data()[i])) {
+            bt_b.data()[i] = std::numeric_limits<double>::infinity();
+          }
+        }
+        const Matrix want_bt = ref::matmul_bt(bt_a, bt_b);
+        for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+          if (!simd::isa_supported(isa)) continue;
+          for (std::size_t threads : {1u, 2u, 4u}) {
+            SimdBackendGuard guard(isa, threads);
+            Matrix got_at = c.seed;
+            matmul_at_accumulate(c.a, c.b, got_at);
+            EXPECT_TRUE(ref::same_bits(got_at, want_at))
+                << "matmul_at p=" << p << " m=" << m << " k=" << k << " "
+                << simd::isa_name(isa) << " @" << threads << "T";
+            Matrix got_bt(p, m, -0.0);
+            matmul_bt_into(bt_a, bt_b, got_bt);
+            EXPECT_TRUE(ref::same_bits(got_bt, want_bt))
+                << "matmul_bt p=" << p << " m=" << m << " k=" << k << " "
+                << simd::isa_name(isa) << " @" << threads << "T";
+          }
+        }
+      }
     }
   }
 }
