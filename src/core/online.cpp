@@ -18,10 +18,10 @@ OnlineForecaster::OnlineForecaster(ForecastModel& model,
       normalizer_(normalizer),
       num_nodes_(num_nodes),
       num_features_(num_features),
-      lookback_(lookback),
       horizon_(horizon),
       steps_per_day_(steps_per_day),
-      start_slot_(start_slot % std::max<std::size_t>(1, steps_per_day)),
+      buffer_(num_nodes, num_features, lookback,
+              start_slot % std::max<std::size_t>(1, steps_per_day)),
       stuck_detector_(num_nodes, /*threshold=*/12) {
   if (num_nodes == 0 || num_features == 0 || lookback == 0 || horizon == 0 ||
       steps_per_day == 0) {
@@ -49,13 +49,7 @@ void OnlineForecaster::push_reading(const Matrix& values, const Matrix& mask) {
   coerced_mask_entries_ += counts.coerced_mask_entries;
   stuck_demotions_ += stuck_detector_.observe_and_demote(normalized,
                                                          clean_mask);
-  values_.push_back(std::move(normalized));
-  masks_.push_back(std::move(clean_mask));
-  if (values_.size() > lookback_) {
-    values_.pop_front();
-    masks_.pop_front();
-  }
-  ++seen_;
+  buffer_.push(std::move(normalized), std::move(clean_mask));
   memo_valid_ = false;  // the window changed; push_gap routes through here too
 }
 
@@ -65,37 +59,10 @@ void OnlineForecaster::push_gap() {
 }
 
 data::Window OnlineForecaster::make_window() const {
-  if (seen_ == 0) {
+  if (buffer_.seen == 0) {
     throw std::logic_error("OnlineForecaster: no readings pushed yet");
   }
-  data::Window w;
-  // Warm-up: left-pad with fully-missing steps so the window always has
-  // `lookback` entries — the imputation path fills them.
-  const std::size_t pad = lookback_ - values_.size();
-  // The first buffered reading carries slot (start + seen - size); the
-  // padded window starts `pad` steps earlier.
-  const std::size_t first_slot =
-      (start_slot_ + seen_ - values_.size() + steps_per_day_ * lookback_ -
-       pad) %
-      steps_per_day_;
-  w.slot = first_slot;
-  w.start = 0;
-  for (std::size_t k = 0; k < pad; ++k) {
-    w.x_obs.emplace_back(num_nodes_, num_features_);
-    w.x_mask.emplace_back(num_nodes_, num_features_);
-    w.x_truth.emplace_back(num_nodes_, num_features_);
-  }
-  for (std::size_t k = 0; k < values_.size(); ++k) {
-    w.x_obs.push_back(values_[k]);
-    w.x_mask.push_back(masks_[k]);
-    w.x_truth.push_back(values_[k]);  // truth unknown online; mirror obs
-  }
-  // Targets are unknown online; models only read y/y_mask in training_loss.
-  for (std::size_t k = 0; k < horizon_; ++k) {
-    w.y.emplace_back(num_nodes_, 1);
-    w.y_mask.emplace_back(num_nodes_, 1);
-  }
-  return w;
+  return buffer_.make_window(horizon_, steps_per_day_);
 }
 
 Matrix OnlineForecaster::robust_predict(const data::Window& w) {
@@ -156,7 +123,7 @@ std::vector<Matrix> OnlineForecaster::completed_history() {
   const data::Window w = make_window();
   std::vector<Matrix> filled = model_.impute(w);
   // Drop the warm-up padding; scrub and denormalize the real part.
-  const std::size_t pad = lookback_ - values_.size();
+  const std::size_t pad = buffer_.lookback - buffer_.values.size();
   std::vector<Matrix> out;
   for (std::size_t k = pad; k < filled.size(); ++k) {
     Matrix m = filled[k];
@@ -174,7 +141,7 @@ std::vector<Matrix> OnlineForecaster::completed_history() {
 HealthReport OnlineForecaster::health() const {
   HealthReport h;
   h.buffer_coverage = buffer_coverage();
-  h.readings_seen = seen_;
+  h.readings_seen = buffer_.seen;
   h.sanitized_entries = sanitized_entries_;
   h.coerced_mask_entries = coerced_mask_entries_;
   h.stuck_demotions = stuck_demotions_;
@@ -185,15 +152,15 @@ HealthReport OnlineForecaster::health() const {
   // Suspects: sensors currently flagged stuck, plus sensors dead (zero
   // observed entries) across a completely full buffer.
   h.suspect_sensors = find_suspect_sensors(
-      stuck_detector_.flags(), masks_, num_nodes_,
-      /*buffer_full=*/values_.size() == lookback_);
+      stuck_detector_.flags(), buffer_.masks, num_nodes_,
+      /*buffer_full=*/buffer_.values.size() == buffer_.lookback);
   return h;
 }
 
 double OnlineForecaster::buffer_coverage() const {
-  if (masks_.empty()) return 0.0;
+  if (buffer_.masks.empty()) return 0.0;
   double observed = 0.0, total = 0.0;
-  for (const Matrix& m : masks_) {
+  for (const Matrix& m : buffer_.masks) {
     observed += m.sum();
     total += static_cast<double>(m.size());
   }

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 
 #include "core/model.hpp"
 #include "core/robust.hpp"
@@ -92,15 +91,19 @@ class OnlineForecaster {
   /// model cannot impute.
   [[nodiscard]] std::vector<Matrix> completed_history();
 
-  [[nodiscard]] std::size_t readings_seen() const noexcept { return seen_; }
+  [[nodiscard]] std::size_t readings_seen() const noexcept {
+    return buffer_.seen;
+  }
   /// Fraction of entries in the current buffer that are real observations.
   [[nodiscard]] double buffer_coverage() const;
   /// Time-of-day slot the NEXT reading will be stamped with.
   [[nodiscard]] std::size_t next_slot() const noexcept {
-    return (start_slot_ + seen_) % steps_per_day_;
+    return (buffer_.start_slot + buffer_.seen) % steps_per_day_;
   }
 
  private:
+  /// The buffer's model input; throws std::logic_error before the first
+  /// reading.
   [[nodiscard]] data::Window make_window() const;
   /// Run the primary model (fallback on throw / non-finite output), then
   /// scrub: any entry still non-finite becomes 0 in normalized space (the
@@ -113,13 +116,9 @@ class OnlineForecaster {
   ForecastModel* fallback_ = nullptr;
   std::size_t num_nodes_;
   std::size_t num_features_;
-  std::size_t lookback_;
   std::size_t horizon_;
   std::size_t steps_per_day_;
-  std::size_t start_slot_;
-  std::size_t seen_ = 0;
-  std::deque<Matrix> values_;  // normalized, observed-masked
-  std::deque<Matrix> masks_;
+  StreamBuffer buffer_;  // the rolling lookback, shared with ForecastServer
 
   // ---- Robustness state ----------------------------------------------------
   // Sanitization, stuck detection and scrubbing are the SHARED primitives of

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace rihgcn::core {
 
@@ -184,6 +185,44 @@ std::size_t StuckSensorDetector::observe_and_demote(Matrix& values,
     }
   }
   return demoted;
+}
+
+void StreamBuffer::push(Matrix value, Matrix mask) {
+  values.push_back(std::move(value));
+  masks.push_back(std::move(mask));
+  if (values.size() > lookback) {
+    values.pop_front();
+    masks.pop_front();
+  }
+  ++seen;
+}
+
+data::Window StreamBuffer::make_window(std::size_t horizon,
+                                       std::size_t steps_per_day) const {
+  data::Window w;
+  const std::size_t pad = lookback - values.size();
+  // The first buffered reading carries slot (start + seen - size); the
+  // padded window starts `pad` steps earlier.
+  w.slot = (start_slot + seen - values.size() + steps_per_day * lookback -
+            pad) %
+           steps_per_day;
+  w.start = 0;
+  for (std::size_t k = 0; k < pad; ++k) {
+    w.x_obs.emplace_back(num_nodes, num_features);
+    w.x_mask.emplace_back(num_nodes, num_features);
+    w.x_truth.emplace_back(num_nodes, num_features);
+  }
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    w.x_obs.push_back(values[k]);
+    w.x_mask.push_back(masks[k]);
+    w.x_truth.push_back(values[k]);  // truth unknown online; mirror obs
+  }
+  // Targets are unknown online; models only read y/y_mask in training_loss.
+  for (std::size_t k = 0; k < horizon; ++k) {
+    w.y.emplace_back(num_nodes, 1);
+    w.y_mask.emplace_back(num_nodes, 1);
+  }
+  return w;
 }
 
 std::vector<std::size_t> find_suspect_sensors(

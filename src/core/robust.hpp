@@ -21,7 +21,9 @@
 //    the single-tenant OnlineForecaster and the multi-client
 //    serve::ForecastServer apply identical ingest sanitization, identical
 //    stuck-sensor demotion and identical non-finite output scrubbing, so a
-//    reading degrades the same way no matter which front end saw it.
+//    reading degrades the same way no matter which front end saw it. Both
+//    also keep their readings in the one StreamBuffer, so a stream's model
+//    input window is the same from either.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +32,7 @@
 
 #include "autodiff/tape.hpp"
 #include "data/dataset.hpp"
+#include "data/windows.hpp"
 #include "nn/optim.hpp"
 
 namespace rihgcn::core {
@@ -186,6 +189,37 @@ class StuckSensorDetector {
   std::vector<double> last_value_;        ///< per node, target feature
   std::vector<std::size_t> repeat_runs_;  ///< consecutive identical readings
   std::vector<bool> stuck_;               ///< currently flagged stuck
+};
+
+/// Rolling buffer of one stream's last `lookback` sanitized, normalized
+/// readings, shared by both serving layers (OnlineForecaster owns one,
+/// serve::ForecastServer one per stream).
+struct StreamBuffer {
+  StreamBuffer() = default;
+  StreamBuffer(std::size_t nodes, std::size_t features,
+               std::size_t lookback_steps, std::size_t first_slot)
+      : num_nodes(nodes),
+        num_features(features),
+        lookback(lookback_steps),
+        start_slot(first_slot) {}
+
+  std::size_t num_nodes = 0;
+  std::size_t num_features = 0;
+  std::size_t lookback = 0;
+  std::size_t start_slot = 0;  ///< time-of-day slot of the first reading
+  std::size_t seen = 0;        ///< readings pushed so far
+  std::deque<Matrix> values;   ///< normalized, observed-masked; oldest first
+  std::deque<Matrix> masks;
+
+  /// Append one reading; the oldest falls out once `lookback` are buffered.
+  void push(Matrix value, Matrix mask);
+  /// The model input over the buffer: `lookback` steps stamped on a
+  /// `steps_per_day` clock, plus `horizon` unknown (zero) targets. During
+  /// warm-up (fewer than `lookback` readings) the window is left-padded
+  /// with fully-missing steps — the imputation machinery's job. Requires
+  /// at least one reading.
+  [[nodiscard]] data::Window make_window(std::size_t horizon,
+                                         std::size_t steps_per_day) const;
 };
 
 /// Suspect-sensor roll-up shared by the health surfaces: nodes currently

@@ -46,14 +46,15 @@
 //     quarantines the candidate (counted in stats) and keeps the current
 //     snapshot serving.
 //
-// With ServeConfig::num_workers > 0 the parallel execution layer (DESIGN.md
-// §16) takes over flush execution: the admitted batch is split into fixed
-// deterministic per-worker sub-batches and run on an ExecPool (each worker a
-// private Workspace over the shared plan), completions post back to the
-// loop, and the loop keeps admitting batch t+1 while batch t executes — the
-// pipelined flush. Breaker bookkeeping and settlement still happen on the
-// loop thread in admission order, so per-window outputs are bitwise
-// identical to inline execution and the §15 failure accounting is exact.
+// Every flush is one pipeline (DESIGN.md §16): plan the admitted batch into
+// chunks and run the breaker gate per chunk, execute each chunk (inline on
+// the loop thread, or with ServeConfig::num_workers > 0 on an ExecPool
+// worker with a private Workspace over the shared plan), then settle in
+// admission order on the loop thread. With a pool, the loop keeps admitting
+// batch t+1 while batch t executes — the pipelined flush. Breaker
+// bookkeeping and settlement never leave the loop thread, so per-window
+// outputs are bitwise identical for any worker count and the §15 failure
+// accounting is exact.
 //
 // Every request resolves to a typed outcome: a finite Matrix or a
 // serve::ServeError via set_exception — never a broken promise, including
@@ -108,7 +109,7 @@ enum class BreakerState {
 
 struct ServeConfig {
   /// Flush the admission queue at this many distinct windows (clamped to
-  /// the engine's max_batch at flush time).
+  /// [1, engine max_batch] at construction).
   std::size_t max_batch = 8;
   /// ... or when the oldest queued request has waited this long.
   std::uint64_t max_delay_us = 500;
@@ -133,14 +134,13 @@ struct ServeConfig {
   /// ServeError{ENGINE_FAILURE} instead — for deployments that prefer a
   /// typed error over a stale number.
   bool degraded_serving = true;
-  /// Parallel execution layer (DESIGN.md §16). 0 = flushes execute inline
-  /// on the loop thread (the §14/§15 behaviour). K >= 1 = a K-worker
-  /// ExecPool executes each flush: the admitted batch is split into fixed
-  /// deterministic sub-batches (chunk w on worker w mod K, each worker
-  /// running against its own private Workspace over the shared plan), and
-  /// while the workers execute batch t the loop keeps admitting and
-  /// coalescing batch t+1 — the pipelined flush. Per-window outputs are
-  /// bitwise identical to inline execution for any K. Overridden at
+  /// Flush executor (DESIGN.md §16). 0 = each flush executes inline on the
+  /// loop thread. K >= 1 = a K-worker ExecPool executes it: the admitted
+  /// batch is split into fixed deterministic chunks (chunk c on worker
+  /// c mod K, each worker running against its own private Workspace over
+  /// the shared plan), and while the workers execute batch t the loop keeps
+  /// admitting and coalescing batch t+1 — the pipelined flush. Per-window
+  /// outputs are bitwise identical for any K. Overridden at
   /// construction by RIHGCN_SERVE_WORKERS when set (set-but-invalid throws,
   /// the RIHGCN_THREADS contract).
   std::size_t num_workers = 0;
@@ -254,22 +254,18 @@ class ForecastServer {
   }
 
  private:
-  /// An engine plus its private scratch. `ws` backs the inline flush path
-  /// and is touched only by the loop thread; worker_ws[w] (sized
-  /// num_workers) is touched only by ExecPool worker w — one workspace per
-  /// executing thread over the one shared immutable plan.
+  /// An engine plus its private scratch: ws[w] is touched only by the
+  /// executor thread w of a flush — the loop thread (one workspace) or
+  /// ExecPool worker w (num_workers of them) — over the one shared
+  /// immutable plan.
   struct Snapshot {
     std::shared_ptr<core::InferenceEngine> engine;
-    core::InferenceEngine::Workspace ws;
-    std::vector<core::InferenceEngine::Workspace> worker_ws;
+    std::vector<core::InferenceEngine::Workspace> ws;
   };
-  /// Per-stream rolling buffer of normalized readings (loop thread only).
+  /// Per-stream serving state (loop thread only).
   struct Stream {
-    std::size_t start_slot = 0;
-    std::size_t seen = 0;
+    core::StreamBuffer buffer;  ///< shared OnlineForecaster rolling buffer
     std::uint64_t version = 0;  ///< bumped per ingest; the coalescing key
-    std::deque<Matrix> values;  ///< normalized, observed-masked
-    std::deque<Matrix> masks;
     core::StuckSensorDetector detector;  ///< shared OnlineForecaster semantics
     Matrix last_good;  ///< last finite engine forecast (original units)
   };
@@ -300,28 +296,28 @@ class ForecastServer {
     data::Window window;
     std::vector<Waiter> waiters;
   };
-  /// One sub-batch of a dispatched flush, filled in by its worker. Distinct
-  /// chunks are written by distinct workers; the loop reads them only after
-  /// the final completion lands, so no field needs synchronization beyond
-  /// the loop post itself.
-  struct ChunkResult {
-    bool executed = false;  ///< breaker gate let this chunk reach the engine
-    bool ok = false;        ///< call returned finite output
+  /// One chunk of a flush: one predict_batch call. The plan fills
+  /// `windows` for the chunks the breaker gate lets through (an empty list
+  /// means the chunk is answered from fallback); run_chunk fills the rest.
+  /// Distinct chunks are written by distinct executors, and the loop reads
+  /// them only once every chunk has run, so no field needs synchronization
+  /// beyond the loop post itself.
+  struct Chunk {
+    std::vector<const data::Window*> windows;
+    bool ok = false;     ///< call returned finite output
     bool threw = false;
     std::vector<Matrix> preds;  ///< denormalized, one per window of the chunk
   };
-  /// One in-flight pooled flush (DESIGN.md §16): the entries moved out of
-  /// the admission queue, the snapshot they execute against, and the
-  /// per-chunk results. The admission queue keeps filling (batch t+1) while
-  /// this executes; results are processed in chunk order — i.e. admission
-  /// order — once every chunk has posted back.
+  /// One flush (DESIGN.md §16): the entries moved out of the admission
+  /// queue, the snapshot they execute against, and the per-chunk results.
+  /// While a pooled flush executes, the admission queue keeps filling
+  /// (batch t+1); results settle in chunk order — i.e. admission order.
   struct FlushState {
     std::shared_ptr<Snapshot> snap;
     std::vector<Pending> entries;
     std::size_t chunk_size = 0;
-    std::vector<std::vector<const data::Window*>> chunk_ptrs;
-    std::vector<ChunkResult> results;
-    std::size_t chunks_left = 0;  ///< loop thread only
+    std::vector<Chunk> chunks;
+    std::size_t chunks_left = 0;  ///< executed chunks not yet done (loop thread)
   };
 
   // Loop-thread internals.
@@ -345,29 +341,28 @@ class ForecastServer {
     breaker_ = s;
     breaker_state_.store(static_cast<int>(s), std::memory_order_release);
   }
-  /// Flush entry point: no-op while a pooled flush is in flight (its
-  /// completion re-flushes); otherwise executes inline (num_workers == 0,
-  /// or during drain) or dispatches to the ExecPool.
+  /// One flush, plan → execute → settle: move the admission queue into a
+  /// FlushState, split it into chunks and run the breaker gate once per
+  /// chunk in admission order; execute the admitted chunks inline (no
+  /// pool) or on the ExecPool; settle via finish_flush. A no-op while a
+  /// pooled flush is in flight (its completion re-flushes).
   void flush();
-  /// The §14/§15 stop-the-world flush: chunked predict_batch on the loop
-  /// thread, breaker bookkeeping and settlement interleaved per chunk.
-  void flush_inline();
-  /// Split pending_ into per-worker sub-batches and submit them (§16).
-  void dispatch_flush();
-  /// Worker-side execution of one chunk: predict_batch on the worker's
-  /// private workspace, denormalize, record, post completion to the loop.
-  void run_chunk(const std::shared_ptr<FlushState>& st, std::size_t chunk);
-  /// Loop-side completion: counts down the in-flight chunks, delegating to
-  /// finish_flush when the last one lands.
+  /// Execute one chunk: predict_batch on workspace c mod ws.size(),
+  /// denormalize, flag non-finite output. Runs on the loop thread or on
+  /// ExecPool worker c mod K; touches only chunk c of the flush.
+  void run_chunk(FlushState& st, std::size_t c) const;
+  /// Loop-side pooled completion: counts down the in-flight chunks; the
+  /// last one settles the flush and flushes batch t+1.
   void on_chunk_done(const std::shared_ptr<FlushState>& st);
-  /// Breaker bookkeeping and settlement for a completed pooled flush, in
-  /// chunk (= admission) order, then flush batch t+1 if the admission queue
-  /// refilled while batch t executed.
-  void finish_flush(const std::shared_ptr<FlushState>& st);
-  /// Drain rendezvous: once loop_draining_ is set and no flush is in
-  /// flight, run the final inline flush and release the drain() caller.
+  /// Breaker bookkeeping and settlement of an executed flush, in chunk
+  /// (= admission) order.
+  void finish_flush(FlushState& st);
+  /// Drain rendezvous: once loop_draining_ is set, run the final flush and,
+  /// when no flush is in flight any more, release the drain() caller.
   void maybe_finish_drain();
-  [[nodiscard]] data::Window make_window(const Stream& s) const;
+  /// A snapshot of `engine` with one workspace per flush executor thread.
+  [[nodiscard]] std::shared_ptr<Snapshot> make_snapshot(
+      std::shared_ptr<core::InferenceEngine> engine) const;
   /// Deterministic synthetic window for the publish canary: normalized-mean
   /// values under a half-observed checkerboard mask.
   [[nodiscard]] data::Window make_probe_window() const;
@@ -383,16 +378,15 @@ class ForecastServer {
   std::shared_ptr<Snapshot> snapshot_;  ///< swapped only via posted closures
   std::deque<Stream> streams_;
   std::vector<Pending> pending_;
-  std::vector<const data::Window*> batch_ptrs_;  ///< reused flush scratch
-  std::uint64_t flush_timer_ = 0;                ///< 0 = not armed
+  std::uint64_t flush_timer_ = 0;  ///< 0 = not armed
   std::uint64_t next_waiter_seq_ = 1;
   BreakerState breaker_ = BreakerState::kClosed;
   std::size_t consecutive_engine_failures_ = 0;
   EventLoop::Clock::time_point breaker_retry_at_{};
   bool loop_draining_ = false;  ///< set by drain's final closure
   std::shared_ptr<FlushState> inflight_;  ///< pooled flush in execution
-  /// Fulfilled by the loop once loop_draining_ is set and the last in-flight
-  /// flush (plus the final inline flush) has settled — the rendezvous that
+  /// Fulfilled by the loop once loop_draining_ is set and the final flush
+  /// (and any flush in flight before it) has settled — the rendezvous that
   /// lets drain() stop the loop without orphaning worker completions.
   std::shared_ptr<std::promise<void>> drain_quiesce_;
 

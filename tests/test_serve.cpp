@@ -27,8 +27,8 @@
 //    drain-on-destruction, strict RIHGCN_SERVE_WORKERS env parsing.
 //  * ServePool.*       — pooled flush execution: bitwise parity with the
 //    inline flush at K = 1/2/4 (under coalescing and mid-flight publish),
-//    breaker choreography through the dispatch gate, drain with a flush in
-//    flight, and the TSan-covered worker/publisher/drain storm with exact
+//    breaker choreography through the plan-time gate (one half-open probe
+//    chunk per cooldown), drain with a flush in flight, and the TSan-covered worker/publisher/drain storm with exact
 //    counter accounting.
 #include <gtest/gtest.h>
 
@@ -452,20 +452,25 @@ TEST(ServeSnapshot, SwapUnderLoad) {
 TEST(ServeShutdown, QueuedRequestsResolveOnDestruction) {
   ServeFixture s = make_fixture();
   auto engine = std::make_shared<core::InferenceEngine>(*s.model);
-  std::vector<std::future<Matrix>> futs;
-  {
-    serve::ServeConfig cfg;
-    cfg.max_batch = 8;
-    cfg.max_delay_us = 60'000'000;  // only drain's final flush can serve these
-    serve::ForecastServer server(engine, *s.normalizer, cfg);
-    const std::size_t id = server.add_stream();
-    auto [values, mask] = reading_at(s, 0);
-    server.ingest(id, values, mask);
-    futs.push_back(server.forecast_async(id));
-    futs.push_back(server.forecast_async(id));
-  }  // destructor == drain()
-  for (auto& f : futs) {
-    EXPECT_FALSE(f.get().has_non_finite());  // served, not abandoned
+  // Both executors: with a pool the final drain flush runs on the workers.
+  for (std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("num_workers=" + std::to_string(workers));
+    std::vector<std::future<Matrix>> futs;
+    {
+      serve::ServeConfig cfg;
+      cfg.max_batch = 8;
+      cfg.max_delay_us = 60'000'000;  // only drain's final flush can serve these
+      cfg.num_workers = workers;
+      serve::ForecastServer server(engine, *s.normalizer, cfg);
+      const std::size_t id = server.add_stream();
+      auto [values, mask] = reading_at(s, 0);
+      server.ingest(id, values, mask);
+      futs.push_back(server.forecast_async(id));
+      futs.push_back(server.forecast_async(id));
+    }  // destructor == drain()
+    for (auto& f : futs) {
+      EXPECT_FALSE(f.get().has_non_finite());  // served, not abandoned
+    }
   }
 }
 
@@ -563,7 +568,8 @@ struct OverloadRig {
 };
 
 OverloadRig make_overload_rig(serve::ShedPolicy policy, std::size_t max_queue,
-                              std::size_t num_streams) {
+                              std::size_t num_streams,
+                              std::size_t num_workers = 0) {
   OverloadRig r;
   r.s = make_fixture();
   core::InferenceEngine::Options opts;
@@ -574,6 +580,7 @@ OverloadRig make_overload_rig(serve::ShedPolicy policy, std::size_t max_queue,
   cfg.max_delay_us = 60'000'000;     // nor on the timer
   cfg.max_queue = max_queue;
   cfg.shed_policy = policy;
+  cfg.num_workers = num_workers;
   r.server = std::make_unique<serve::ForecastServer>(engine, *r.s.normalizer,
                                                      cfg);
   for (std::size_t k = 0; k < num_streams; ++k) {
@@ -585,30 +592,35 @@ OverloadRig make_overload_rig(serve::ShedPolicy policy, std::size_t max_queue,
 }
 
 TEST(ServeOverload, RejectNewFailsRequestsBeyondMaxQueue) {
-  OverloadRig r = make_overload_rig(serve::ShedPolicy::kRejectNew,
-                                    /*max_queue=*/4, /*num_streams=*/6);
-  std::vector<std::future<Matrix>> futs;
-  for (std::size_t id : r.ids) futs.push_back(r.server->forecast_async(id));
-  // Requests 4 and 5 needed a new window slot in a full queue: OVERLOADED.
-  for (std::size_t k = 4; k < 6; ++k) {
-    try {
-      (void)futs[k].get();
-      FAIL() << "request " << k << " should have been rejected";
-    } catch (const serve::ServeError& e) {
-      EXPECT_EQ(e.status(), serve::ServeStatus::kOverloaded);
+  // Both executors: with a pool the final drain flush runs on the workers.
+  for (std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("num_workers=" + std::to_string(workers));
+    OverloadRig r = make_overload_rig(serve::ShedPolicy::kRejectNew,
+                                      /*max_queue=*/4, /*num_streams=*/6,
+                                      workers);
+    std::vector<std::future<Matrix>> futs;
+    for (std::size_t id : r.ids) futs.push_back(r.server->forecast_async(id));
+    // Requests 4 and 5 needed a new window slot in a full queue: OVERLOADED.
+    for (std::size_t k = 4; k < 6; ++k) {
+      try {
+        (void)futs[k].get();
+        FAIL() << "request " << k << " should have been rejected";
+      } catch (const serve::ServeError& e) {
+        EXPECT_EQ(e.status(), serve::ServeStatus::kOverloaded);
+      }
     }
+    // Coalescing attaches never count against max_queue.
+    auto coalesced = r.server->forecast_async(r.ids[0]);
+    r.server->drain();  // final flush serves the 4 admitted windows
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_FALSE(futs[k].get().has_non_finite());
+    }
+    EXPECT_FALSE(coalesced.get().has_non_finite());
+    const serve::ServerStats st = r.server->stats();
+    EXPECT_EQ(st.shed_requests, 2u);
+    EXPECT_EQ(st.coalesced_requests, 1u);
+    EXPECT_EQ(st.responses, 5u);
   }
-  // Coalescing attaches never count against max_queue.
-  auto coalesced = r.server->forecast_async(r.ids[0]);
-  r.server->drain();  // final flush serves the 4 admitted windows
-  for (std::size_t k = 0; k < 4; ++k) {
-    EXPECT_FALSE(futs[k].get().has_non_finite());
-  }
-  EXPECT_FALSE(coalesced.get().has_non_finite());
-  const serve::ServerStats st = r.server->stats();
-  EXPECT_EQ(st.shed_requests, 2u);
-  EXPECT_EQ(st.coalesced_requests, 1u);
-  EXPECT_EQ(st.responses, 5u);
 }
 
 TEST(ServeOverload, ShedOldestEvictsTheFrontOfTheQueue) {
@@ -1126,6 +1138,53 @@ TEST(ServePool, BreakerOpensServesFallbackAndProbesUnderPool) {
   EXPECT_EQ(st.breaker_probes, 1u);
   EXPECT_EQ(st.breaker_closes, 1u);
   EXPECT_GT(st.pooled_flushes, 0u);
+}
+
+TEST(ServePool, HalfOpenFlushSendsExactlyOneProbeChunk) {
+  // K = 2 splits every 4-window flush into two 2-window chunks. Once the
+  // cooldown elapses, the half-open flush must send ONE probe chunk to the
+  // engine; the other chunk waits for the verdict on the fallback path.
+  ServeFixture s = make_fixture();
+  serve::FaultyEngine::FaultConfig faults;  // forced faults only
+  auto engine = std::make_shared<serve::FaultyEngine>(
+      *s.model, core::InferenceEngine::Options{}, faults);
+  serve::ServeConfig cfg;
+  cfg.max_batch = 4;
+  cfg.max_delay_us = 60'000'000;  // every flush is a full 4-window batch
+  cfg.breaker_threshold = 2;
+  cfg.breaker_cooldown_us = 50'000;
+  cfg.num_workers = 2;
+  serve::ForecastServer server(engine, *s.normalizer, cfg);
+  std::vector<std::size_t> ids;
+  for (std::size_t k = 0; k < 4; ++k) {
+    ids.push_back(server.add_stream(k));
+    auto [values, mask] = reading_at(s, 2 * k);
+    server.ingest(ids[k], values, mask);
+  }
+  auto forecast_all = [&] {
+    std::vector<std::future<Matrix>> futs;
+    for (std::size_t id : ids) futs.push_back(server.forecast_async(id));
+    std::vector<Matrix> outs;
+    for (auto& f : futs) outs.push_back(f.get());
+    return outs;
+  };
+  const std::vector<Matrix> baseline = forecast_all();  // last_good per stream
+  engine->force_throw_next(2);  // both chunks throw: the breaker opens
+  EXPECT_EQ(forecast_all(), baseline);
+  ASSERT_EQ(server.breaker_state(), serve::BreakerState::kOpen);
+
+  std::this_thread::sleep_for(
+      std::chrono::microseconds(cfg.breaker_cooldown_us + 20'000));
+  engine->force_throw_next(1);  // the probe fails
+  const std::size_t calls_before = engine->calls();
+  const serve::ServerStats before = server.stats();
+  EXPECT_EQ(forecast_all(), baseline);  // every window from fallback
+  const serve::ServerStats st = server.stats();
+  EXPECT_EQ(engine->calls() - calls_before, 1u);
+  EXPECT_EQ(st.engine_calls - before.engine_calls, 1u);
+  EXPECT_EQ(st.breaker_probes, 1u);
+  EXPECT_EQ(st.fallback_responses - before.fallback_responses, 4u);
+  EXPECT_EQ(server.breaker_state(), serve::BreakerState::kOpen);
 }
 
 TEST(ServePool, DrainSettlesInFlightPooledFlush) {
