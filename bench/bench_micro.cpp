@@ -426,8 +426,15 @@ SweepGraph make_sweep_graph(std::size_t n) {
 bench::MicroResult timed_row(const char* name, std::size_t n, double density,
                              std::size_t threads,
                              const bench::TimingStats& stats) {
-  return {name,    n,        density,         stats.median_ns,
-          threads, stats.min_ns, stats.stddev_ns};
+  bench::MicroResult r;
+  r.name = name;
+  r.n = n;
+  r.density = density;
+  r.ns_per_op = stats.median_ns;
+  r.threads = threads;
+  r.min_ns = stats.min_ns;
+  r.stddev_ns = stats.stddev_ns;
+  return r;
 }
 
 // Record one counter row: ns_per_op carries a deterministic program fact
@@ -658,18 +665,16 @@ void run_train_step_compare(const bench::BenchOptions& opts,
   }
   struct StepConfig {
     const char* name;
-    bool sparse;
-    bool fused;
+    bool sparse;  ///< false: density limit 0, every graph on dense kernels
     bool guarded;
   };
   constexpr StepConfig kConfigs[] = {
-      {"train_step_dense", false, true, false},
-      {"train_step_sparse", true, true, false},
-      {"train_step_unfused", true, false, false},  // sparse, elementary cells
+      {"train_step_dense", false, false},
+      {"train_step_sparse", true, false},
       // Identical compute to train_step_sparse plus the NumericalGuard's
       // per-step work (loss/grad scan, EMA update, snapshot cadence) — the
       // fault-tolerance overhead budget is <= 5% of train_step_sparse @ 1T.
-      {"train_step_guarded", true, true, true},
+      {"train_step_guarded", true, true},
   };
   for (const std::size_t threads : {1, 4}) {
     ThreadPool::set_global_threads(threads);
@@ -680,8 +685,7 @@ void run_train_step_compare(const bench::BenchOptions& opts,
       mc.horizon = 3;
       mc.gcn_dim = 8;
       mc.lstm_dim = 8;
-      mc.use_sparse_graphs = sc.sparse;
-      mc.use_fused_cells = sc.fused;
+      if (!sc.sparse) mc.sparse_density_limit = 0.0;
       core::RihgcnModel model(graphs, kNodes, ds.num_features(), mc);
       std::vector<ad::Parameter*> params = model.parameters();
       nn::AdamOptimizer opt(params);
@@ -713,18 +717,12 @@ void run_train_step_compare(const bench::BenchOptions& opts,
         const auto allocs =
             static_cast<double>(tape.pool().misses() - misses_before);
         results.push_back(
-            counter_row(sc.fused ? "tape_nodes_fused" : "tape_nodes_unfused",
-                        kNodes, density, nodes, threads));
-        std::printf("  %-16s %24.0f nodes\n",
-                    sc.fused ? "tape_nodes_fused" : "tape_nodes_unfused",
-                    nodes);
-        if (sc.fused) {
-          results.push_back(
-              counter_row("pool_steady_allocs", kNodes, density, allocs,
-                          threads));
-          std::printf("  %-16s %24.0f allocs/step\n", "pool_steady_allocs",
-                      allocs);
-        }
+            counter_row("tape_nodes_fused", kNodes, density, nodes, threads));
+        std::printf("  %-16s %24.0f nodes\n", "tape_nodes_fused", nodes);
+        results.push_back(counter_row("pool_steady_allocs", kNodes, density,
+                                      allocs, threads));
+        std::printf("  %-16s %24.0f allocs/step\n", "pool_steady_allocs",
+                    allocs);
       }
     }
     // Partitioned (Cluster-GCN) step: same window swept as 8 per-cluster

@@ -175,8 +175,9 @@ int main() {
       }
     });
   }
+  bool accepted = false;
   std::thread retrainer([&] {
-    server.publish(std::make_shared<core::InferenceEngine>(model));
+    accepted = server.publish(std::make_shared<core::InferenceEngine>(model));
   });
   for (auto& t : clients) t.join();
   retrainer.join();
@@ -194,7 +195,11 @@ int main() {
                         static_cast<double>(st.engine_calls)
                   : 0.0);
   std::printf("  coalesced requests   %zu\n", st.coalesced_requests);
+  std::printf("  retrained engine     %s by the canary\n",
+              accepted ? "accepted" : "quarantined");
   std::printf("  snapshot swaps       %zu (published mid-traffic)\n",
               st.snapshot_swaps);
+  std::printf("  quarantined          %zu (publishes the canary rejected)\n",
+              st.quarantined_publishes);
   return 0;
 }

@@ -247,9 +247,10 @@ class Tape {
   // One node for the activated gate block, one per state output, with a
   // hand-written backward — replacing the ~15-node slice/σ/tanh/mul/add
   // chain per timestep. Gradients and values are bitwise identical to the
-  // unfused chains in nn::LstmCell/nn::GruCell at any thread count: every
-  // arithmetic expression and accumulation order below replicates the
-  // unfused ops' exactly (tests/test_tape_arena.cpp holds this at tol = 0).
+  // unfused elementary-op chains in tests/reference_cells.hpp at any thread
+  // count: every arithmetic expression and accumulation order below
+  // replicates the unfused ops' exactly (tests/test_tape_arena.cpp holds
+  // this at tol = 0).
 
   struct LstmState {
     Var h;

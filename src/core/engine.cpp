@@ -93,9 +93,9 @@ InferenceEngine::InferenceEngine(const RihgcnModel& model, Options options,
       throw std::invalid_argument(
           "InferenceEngine: sub-graph node count must be >= 1");
     }
-    compile_subgraph_ops(*sub_laps);
+    compile_graph_ops(*sub_laps, nullptr);
   } else {
-    compile_graph_ops(m);
+    compile_graph_ops(m.sparse_laps_, &m.graphs_);
   }
 
   const std::size_t per_gcn = cheb_order_ + 1;  // K thetas + bias
@@ -157,108 +157,69 @@ InferenceEngine::InferenceEngine(const RihgcnModel& model, Options options,
   scratch_ = make_workspace();
 }
 
-void InferenceEngine::compile_graph_ops(const RihgcnModel& model) {
-  const HeterogeneousGraphs& g = model.graphs_;
-  const HgcnBlock::SparseLaps& cache = model.sparse_laps_;
-  const bool use_sparse = model.config_.use_sparse_graphs;
-  // Transposed-dense cutover: the CSR apply costs ~nnz·width gather-bound
-  // MACs, the transposed GEMM width·N²/8 streaming ones — break-even near
-  // 1/8 density. The N cap bounds the materialized L̃ᵀ (≤ 16 MiB f32);
-  // city-scale k-NN graphs sit far below the density bar anyway.
-  auto prefer_dense_t = [&](std::size_t nnz) {
-    return n_ <= 2048 && nnz * 8 > n_ * n_;
-  };
-  // lapT(j, i) = L̃(i, j), narrowed entry-wise exactly as FCsrMatrix::from
-  // would — both paths consume the same f32 values.
-  auto transpose_csr = [&](const CsrMatrix& c) {
-    FMatrix t(n_, n_);
-    const auto& ptr = c.row_ptr();
-    const auto& idx = c.col_idx();
-    const auto& val = c.values();
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (std::size_t p = ptr[i]; p < ptr[i + 1]; ++p) {
-        t(idx[p], i) = static_cast<float>(val[p]);
-      }
-    }
-    return t;
-  };
-  auto make_op = [&](const std::optional<CsrMatrix>& cached,
-                     auto dense_lap) {
-    GraphOp op;
-    if (use_sparse && cached.has_value() && !prefer_dense_t(cached->nnz())) {
-      op.sparse = true;
-      op.csr = FCsrMatrix::from(*cached);
-      op.csr_batch = FCsrMatrix::block_diagonal(op.csr, max_batch_);
-    } else if (use_sparse && cached.has_value()) {
-      op.dense_t = true;
-      op.lapT = transpose_csr(*cached);
-    } else {
-      // No CSR cache: the graph is above the model's sparse_density_limit
-      // (or sparse mode is off) — dense enough that transposed GEMM wins.
-      op.dense_t = true;
-      const Matrix lap = dense_lap();
-      FMatrix t(n_, n_);
-      for (std::size_t i = 0; i < n_; ++i) {
-        for (std::size_t j = 0; j < n_; ++j) {
-          t(j, i) = static_cast<float>(lap(i, j));
-        }
-      }
-      op.lapT = std::move(t);
-    }
-    return op;
-  };
-  const std::optional<CsrMatrix> none;
-  geo_op_ = make_op(use_sparse ? cache.geo : none,
-                    [&] { return g.geographic().scaled_laplacian(); });
-  const std::size_t num_m = g.num_temporal();
-  temporal_ops_.clear();
-  temporal_ops_.reserve(num_m);
-  for (std::size_t t = 0; t < num_m; ++t) {
-    const bool covered = use_sparse && t < cache.temporal.size();
-    temporal_ops_.push_back(
-        make_op(covered ? cache.temporal[t] : none,
-                [&] { return g.temporal(t).scaled_laplacian(); }));
-  }
-}
-
-void InferenceEngine::compile_subgraph_ops(const HgcnBlock::SparseLaps& laps) {
-  // Same path-selection rule as compile_graph_ops, applied to the cluster's
-  // sub-CSRs (density is judged on the SUB-graph: a shard of a sparse
-  // city-scale graph can be locally dense enough for the transposed GEMM).
-  // Both apply forms accumulate each output element in the same ascending-k
-  // FMA order, so the choice never moves a bit.
-  auto make_sub_op = [&](const std::optional<CsrMatrix>& cached) {
-    if (!cached.has_value()) {
+void InferenceEngine::compile_graph_ops(const HgcnBlock::SparseLaps& laps,
+                                        const HeterogeneousGraphs* graphs) {
+  // A graph the cache leaves dense is above the model's
+  // sparse_density_limit — dense enough that the transposed GEMM wins — so
+  // its L̃ᵀ is narrowed straight from the dense Laplacian.
+  auto make_op = [&](const std::optional<CsrMatrix>& csr, auto dense_lap) {
+    if (csr.has_value()) return compile_csr_op(*csr);
+    if (graphs == nullptr) {
       throw std::invalid_argument(
           "InferenceEngine: sub-graph compilation requires every Laplacian "
           "in CSR form");
     }
+    const Matrix& lap = dense_lap();
     GraphOp op;
-    if (n_ <= 2048 && cached->nnz() * 8 > n_ * n_) {
-      op.dense_t = true;
-      FMatrix t(n_, n_);
-      const auto& ptr = cached->row_ptr();
-      const auto& idx = cached->col_idx();
-      const auto& val = cached->values();
-      for (std::size_t i = 0; i < n_; ++i) {
-        for (std::size_t p = ptr[i]; p < ptr[i + 1]; ++p) {
-          t(idx[p], i) = static_cast<float>(val[p]);
-        }
+    op.lapT = FMatrix(n_, n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t j = 0; j < n_; ++j) {
+        op.lapT(j, i) = static_cast<float>(lap(i, j));
       }
-      op.lapT = std::move(t);
-    } else {
-      op.sparse = true;
-      op.csr = FCsrMatrix::from(*cached);
-      op.csr_batch = FCsrMatrix::block_diagonal(op.csr, max_batch_);
     }
     return op;
   };
-  geo_op_ = make_sub_op(laps.geo);
+  geo_op_ = make_op(laps.geo, [&]() -> const Matrix& {
+    return graphs->geographic().scaled_laplacian();
+  });
   temporal_ops_.clear();
   temporal_ops_.reserve(laps.temporal.size());
-  for (const std::optional<CsrMatrix>& t : laps.temporal) {
-    temporal_ops_.push_back(make_sub_op(t));
+  for (std::size_t t = 0; t < laps.temporal.size(); ++t) {
+    temporal_ops_.push_back(make_op(laps.temporal[t], [&]() -> const Matrix& {
+      return graphs->temporal(t).scaled_laplacian();
+    }));
   }
+}
+
+InferenceEngine::GraphOp InferenceEngine::compile_csr_op(
+    const CsrMatrix& lap) const {
+  // Transposed-dense cutover: the CSR apply costs ~nnz·width gather-bound
+  // MACs, the transposed GEMM width·N²/8 streaming ones — break-even near
+  // 1/8 density. The N cap bounds the materialized L̃ᵀ (≤ 16 MiB f32);
+  // city-scale k-NN graphs sit far below the density bar anyway. Density is
+  // judged on the graph this engine runs, so a shard of a sparse city-scale
+  // graph can be locally dense enough for the transposed GEMM. Both apply
+  // forms accumulate each output element in the same ascending-k FMA
+  // order, so the choice never moves a bit.
+  GraphOp op;
+  if (n_ <= 2048 && lap.nnz() * 8 > n_ * n_) {
+    // lapT(j, i) = L̃(i, j), narrowed entry-wise exactly as FCsrMatrix::from
+    // would — both paths consume the same f32 values.
+    op.lapT = FMatrix(n_, n_);
+    const auto& ptr = lap.row_ptr();
+    const auto& idx = lap.col_idx();
+    const auto& val = lap.values();
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t p = ptr[i]; p < ptr[i + 1]; ++p) {
+        op.lapT(idx[p], i) = static_cast<float>(val[p]);
+      }
+    }
+  } else {
+    op.sparse = true;
+    op.csr = FCsrMatrix::from(lap);
+    op.csr_batch = FCsrMatrix::block_diagonal(op.csr, max_batch_);
+  }
+  return op;
 }
 
 InferenceEngine::GcnPlan InferenceEngine::compile_gcn(

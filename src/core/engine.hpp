@@ -129,6 +129,9 @@ class InferenceEngine {
   /// ShardedEngine (core/sharded_engine.hpp) compiles one sub-engine per
   /// graph cluster through the private sub-graph constructor below.
   friend class ShardedEngine;
+  /// Read-only access for the test that pins the trained and the served
+  /// cluster cuts to each other (tests/test_engine.cpp).
+  friend struct ClusterCutProbe;
 
   /// Sub-graph compilation: same frozen weights as `model`, but the graph
   /// ops come from `sub_laps` (every Laplacian in CSR form, rows and columns
@@ -152,8 +155,7 @@ class InferenceEngine {
   ///     path choice stays inside the documented ULP bound and a batched
   ///     forward remains bitwise equal to sequential ones (block-local).
   struct GraphOp {
-    bool sparse = false;   ///< CSR SpMM path
-    bool dense_t = false;  ///< transposed dense GEMM path
+    bool sparse = false;   ///< CSR SpMM path; false = transposed dense GEMM
     FCsrMatrix csr;
     FCsrMatrix csr_batch;  ///< block-diagonal, max_batch copies
     FMatrix lapT;          ///< n x n, lapT(j, i) = L̃(i, j)
@@ -175,10 +177,14 @@ class InferenceEngine {
     FMatrix est_w, est_b;
   };
 
-  void compile_graph_ops(const RihgcnModel& model);
-  /// Graph ops from a cluster's sub-Laplacian cache (every graph must be
+  /// Graph ops from a Laplacian cache: the model's own, with `graphs`
+  /// supplying the dense Laplacian of every graph the cache leaves out, or
+  /// a cluster's sub-Laplacians with `graphs` null (every graph must then be
   /// CSR-covered; throws std::invalid_argument otherwise).
-  void compile_subgraph_ops(const HgcnBlock::SparseLaps& laps);
+  void compile_graph_ops(const HgcnBlock::SparseLaps& laps,
+                         const HeterogeneousGraphs* graphs);
+  /// One CSR Laplacian in its cheaper apply form (see GraphOp).
+  [[nodiscard]] GraphOp compile_csr_op(const CsrMatrix& lap) const;
   [[nodiscard]] static GcnPlan compile_gcn(
       const std::vector<ad::Parameter*>& params, std::size_t offset,
       std::size_t order);

@@ -26,19 +26,7 @@ HgcnBlock::HgcnBlock(const HeterogeneousGraphs& graphs, std::size_t in_dim,
   }
 }
 
-HgcnBlock::LapVars HgcnBlock::make_lap_vars(Tape& tape) const {
-  LapVars laps;
-  laps.geo = tape.constant(graphs_.geographic().scaled_laplacian());
-  laps.temporal.reserve(graphs_.num_temporal());
-  for (std::size_t m = 0; m < graphs_.num_temporal(); ++m) {
-    laps.temporal.push_back(
-        tape.constant(graphs_.temporal(m).scaled_laplacian()));
-  }
-  return laps;
-}
-
-HgcnBlock::SparseLaps HgcnBlock::make_sparse_laps(double tol,
-                                                  double max_density) const {
+HgcnBlock::SparseLaps HgcnBlock::make_sparse_laps(double max_density) const {
   if (graphs_.sparse_mode()) {
     // Sparse-mode graphs only exist as CSR; the density fallback has no
     // dense Laplacian to fall back to, so every graph is covered.
@@ -50,8 +38,10 @@ HgcnBlock::SparseLaps HgcnBlock::make_sparse_laps(double tol,
     }
     return sparse;
   }
-  auto build = [tol, max_density](const Matrix& lap) -> std::optional<CsrMatrix> {
-    CsrMatrix csr = CsrMatrix::from_dense(lap, tol);
+  // tol = 0 keeps every nonzero: SpMM over this CSR is bitwise equal to the
+  // dense matmul (DESIGN.md §9).
+  auto build = [max_density](const Matrix& lap) -> std::optional<CsrMatrix> {
+    CsrMatrix csr = CsrMatrix::from_dense(lap, /*tol=*/0.0);
     if (csr.density() > max_density) return std::nullopt;  // dense fallback
     return csr;
   };
@@ -79,25 +69,15 @@ HgcnBlock::LapVars HgcnBlock::make_lap_vars(Tape& tape,
   return laps;
 }
 
-Var HgcnBlock::forward(Tape& tape, Var x, std::size_t slot) {
-  return forward(tape, x, slot, make_lap_vars(tape));
-}
-
 Var HgcnBlock::forward(Tape& tape, Var x, std::size_t slot,
-                       const LapVars& laps) {
-  return forward(tape, x, slot, laps, nullptr);
-}
-
-Var HgcnBlock::forward(Tape& tape, Var x, std::size_t slot,
-                       const LapVars& laps, const SparseLaps* sparse) {
-  Var acc = sparse && sparse->geo
-                ? geo_layer_.forward(tape, x, *sparse->geo)
-                : geo_layer_.forward(tape, x, laps.geo);
+                       const LapVars& laps, const SparseLaps& sparse) {
+  Var acc = sparse.geo ? geo_layer_.forward(tape, x, *sparse.geo)
+                       : geo_layer_.forward(tape, x, laps.geo);
   const std::vector<double> w = graphs_.interval_weights(slot);
   for (std::size_t m = 0; m < temporal_layers_.size(); ++m) {
     if (w[m] <= 1e-8) continue;  // negligible mixture weight: skip the GCN
-    Var out = sparse && sparse->temporal[m]
-                  ? temporal_layers_[m].forward(tape, x, *sparse->temporal[m])
+    Var out = sparse.temporal[m]
+                  ? temporal_layers_[m].forward(tape, x, *sparse.temporal[m])
                   : temporal_layers_[m].forward(tape, x, laps.temporal[m]);
     acc = tape.add(acc, tape.scale(out, w[m]));
   }
@@ -164,16 +144,7 @@ RihgcnModel::RihgcnModel(const HeterogeneousGraphs& graphs,
   if (config.hgcn_layers == 0 || config.hgcn_layers > 2) {
     throw std::invalid_argument("RihgcnModel: hgcn_layers must be 1 or 2");
   }
-  if (graphs.sparse_mode() && !config_.use_sparse_graphs) {
-    throw std::invalid_argument(
-        "RihgcnModel: sparse-mode graphs (knn > 0) require use_sparse_graphs");
-  }
-  if (config_.use_sparse_graphs) {
-    sparse_laps_ =
-        hgcn_.make_sparse_laps(/*tol=*/0.0, config_.sparse_density_limit);
-  }
-  rnn_fwd_->set_fused(config_.use_fused_cells);
-  rnn_bwd_->set_fused(config_.use_fused_cells);
+  sparse_laps_ = hgcn_.make_sparse_laps(config_.sparse_density_limit);
 }
 
 std::vector<ad::Parameter*> RihgcnModel::parameters() {
@@ -200,7 +171,7 @@ std::vector<ad::Parameter*> RihgcnModel::parameters() {
 
 RihgcnModel::DirectionResult RihgcnModel::run_direction(
     Tape& tape, const data::Window& w, bool reverse,
-    const HgcnBlock::LapVars& laps, const HgcnBlock::SparseLaps* sparse) {
+    const HgcnBlock::LapVars& laps, const HgcnBlock::SparseLaps& sparse) {
   const std::size_t steps = config_.lookback;
   if (w.x_obs.size() != steps) {
     throw std::invalid_argument("RihgcnModel: window lookback mismatch");
@@ -252,25 +223,18 @@ RihgcnModel::DirectionResult RihgcnModel::run_direction(
 
 RihgcnModel::ForwardOutput RihgcnModel::forward(Tape& tape,
                                                 const data::Window& w) {
-  return forward_impl(tape, w, nullptr, nullptr);
+  return forward_impl(tape, w, sparse_laps_, nullptr);
 }
 
 RihgcnModel::ForwardOutput RihgcnModel::forward_impl(
-    Tape& tape, const data::Window& w,
-    const HgcnBlock::SparseLaps* sparse_override,
+    Tape& tape, const data::Window& w, const HgcnBlock::SparseLaps& sparse,
     const std::vector<char>* owned_row) {
   const std::size_t steps = config_.lookback;
   // One set of Laplacian constants per tape, shared by both directions and
-  // both stacked HGCN blocks (same underlying graphs). With the sparse cache
-  // active, CSR-covered graphs skip the tape constant entirely. A cluster
-  // override swaps in that cluster's sub-Laplacians (all CSR, so no tape
-  // constants at all).
-  const HgcnBlock::SparseLaps* sparse =
-      sparse_override != nullptr
-          ? sparse_override
-          : (config_.use_sparse_graphs ? &sparse_laps_ : nullptr);
-  const HgcnBlock::LapVars laps = sparse ? hgcn_.make_lap_vars(tape, *sparse)
-                                         : hgcn_.make_lap_vars(tape);
+  // both stacked HGCN blocks (same underlying graphs). CSR-covered graphs
+  // skip the tape constant entirely; a cluster's sub-Laplacians are all
+  // CSR, so a cluster forward pushes no Laplacian constants at all.
+  const HgcnBlock::LapVars laps = hgcn_.make_lap_vars(tape, sparse);
   DirectionResult fwd = run_direction(tape, w, /*reverse=*/false, laps, sparse);
   DirectionResult bwd;
   if (config_.bidirectional) {
@@ -385,10 +349,8 @@ Var RihgcnModel::training_loss(Tape& tape, const data::Window& w) {
                              config_.lambda);
 }
 
-void RihgcnModel::prepare_clusters(std::size_t num_clusters,
-                                   std::uint64_t seed) {
-  clusters_.clear();
-  if (num_clusters <= 1) return;
+std::vector<RihgcnModel::ClusterSpec> RihgcnModel::cluster_specs(
+    std::size_t count, std::uint64_t seed) const {
   // The SPATIAL adjacency drives the partition; the temporal graphs share
   // the node set, and their edges leaving owned ∪ halo are cut — the
   // Cluster-GCN approximation (DESIGN.md §13). The halo is the spatial
@@ -398,42 +360,39 @@ void RihgcnModel::prepare_clusters(std::size_t num_clusters,
       graphs_.sparse_mode()
           ? graphs_.geographic_adjacency_csr()
           : CsrMatrix::from_dense(graphs_.geographic().adjacency());
-  const graph::ClusterPartitioner partitioner(seed);
   const graph::Clustering clustering =
-      partitioner.partition(adjacency, num_clusters);
+      graph::ClusterPartitioner(seed).partition(adjacency, count);
 
-  // Full scaled Laplacians in CSR form, to extract sub-matrices from.
+  // Full scaled Laplacians in CSR form, to extract sub-matrices from: the
+  // model's cache, plus an exact CSR of each density-fallback graph.
   const std::size_t num_t = graphs_.num_temporal();
-  CsrMatrix geo_full;
-  std::vector<CsrMatrix> temporal_full;
-  temporal_full.reserve(num_t);
-  if (graphs_.sparse_mode()) {
-    geo_full = graphs_.geographic_scaled_laplacian_csr();
-    for (std::size_t m = 0; m < num_t; ++m) {
-      temporal_full.push_back(graphs_.temporal_scaled_laplacian_csr(m));
-    }
-  } else {
-    geo_full = sparse_laps_.geo ? *sparse_laps_.geo
-                                : CsrMatrix::from_dense(
-                                      graphs_.geographic().scaled_laplacian());
-    for (std::size_t m = 0; m < num_t; ++m) {
-      const bool cached =
-          m < sparse_laps_.temporal.size() && sparse_laps_.temporal[m];
-      temporal_full.push_back(
-          cached ? *sparse_laps_.temporal[m]
-                 : CsrMatrix::from_dense(graphs_.temporal(m).scaled_laplacian()));
-    }
+  std::vector<CsrMatrix> fallback;
+  fallback.reserve(num_t + 1);  // stable addresses for `full` below
+  auto full_csr = [&fallback](const std::optional<CsrMatrix>& cached,
+                              auto dense_lap) -> const CsrMatrix* {
+    if (cached) return &*cached;
+    fallback.push_back(CsrMatrix::from_dense(dense_lap()));
+    return &fallback.back();
+  };
+  std::vector<const CsrMatrix*> full;
+  full.reserve(num_t + 1);
+  full.push_back(full_csr(sparse_laps_.geo, [&]() -> const Matrix& {
+    return graphs_.geographic().scaled_laplacian();
+  }));
+  for (std::size_t m = 0; m < num_t; ++m) {
+    full.push_back(full_csr(sparse_laps_.temporal[m], [&]() -> const Matrix& {
+      return graphs_.temporal(m).scaled_laplacian();
+    }));
   }
 
-  clusters_.reserve(clustering.num_clusters());
-  for (std::size_t c = 0; c < clustering.num_clusters(); ++c) {
+  std::vector<ClusterSpec> specs(clustering.num_clusters());
+  for (std::size_t c = 0; c < specs.size(); ++c) {
     const std::vector<std::size_t>& owned = clustering.owned[c];
     const std::vector<std::size_t>& halo = clustering.halo[c];
-    ClusterSpec spec;
+    ClusterSpec& spec = specs[c];
     spec.nodes.resize(owned.size() + halo.size());
     std::merge(owned.begin(), owned.end(), halo.begin(), halo.end(),
                spec.nodes.begin());
-    spec.num_owned = owned.size();
     spec.owned_row.assign(spec.nodes.size(), 0);
     std::size_t p = 0;
     for (std::size_t r = 0; r < spec.nodes.size(); ++r) {
@@ -442,13 +401,20 @@ void RihgcnModel::prepare_clusters(std::size_t num_clusters,
         ++p;
       }
     }
-    spec.laps.geo = geo_full.submatrix(spec.nodes);
+    spec.laps.geo = full[0]->submatrix(spec.nodes);
     spec.laps.temporal.reserve(num_t);
     for (std::size_t m = 0; m < num_t; ++m) {
-      spec.laps.temporal.emplace_back(temporal_full[m].submatrix(spec.nodes));
+      spec.laps.temporal.emplace_back(full[m + 1]->submatrix(spec.nodes));
     }
-    clusters_.push_back(std::move(spec));
   }
+  return specs;
+}
+
+void RihgcnModel::prepare_clusters(std::size_t num_clusters,
+                                   std::uint64_t seed) {
+  clusters_.clear();
+  if (num_clusters <= 1) return;
+  clusters_ = cluster_specs(num_clusters, seed);
 }
 
 Var RihgcnModel::cluster_training_loss(Tape& tape, const data::Window& w,
@@ -460,7 +426,7 @@ Var RihgcnModel::cluster_training_loss(Tape& tape, const data::Window& w,
   }
   const ClusterSpec& spec = clusters_[cluster];
   const data::Window sub = data::take_rows(w, spec.nodes);
-  ForwardOutput out = forward_impl(tape, sub, &spec.laps, &spec.owned_row);
+  ForwardOutput out = forward_impl(tape, sub, spec.laps, &spec.owned_row);
   const std::size_t n = spec.nodes.size();
   Matrix targets(n, config_.horizon);
   Matrix weights(n, config_.horizon);

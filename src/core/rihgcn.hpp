@@ -38,52 +38,40 @@ class HgcnBlock : public nn::Module {
   HgcnBlock(const HeterogeneousGraphs& graphs, std::size_t in_dim,
             std::size_t out_dim, std::size_t cheb_order, Rng& rng);
 
-  /// Tape-resident Laplacian constants. The graphs are fixed per model, so a
-  /// forward pass creates these once per tape and shares them across all
-  /// lookback timesteps instead of pushing a fresh N x N constant per GCN
-  /// call (lookback x (M+1) copies). Values are unchanged; the constants
-  /// carry no gradient.
-  struct LapVars {
-    ad::Var geo;
-    std::vector<ad::Var> temporal;  ///< one per temporal graph
-  };
-  [[nodiscard]] LapVars make_lap_vars(ad::Tape& tape) const;
-
-  /// Per-MODEL sparse Laplacian cache (DESIGN.md §9): the CSR form of every
-  /// scaled Laplacian, built once and reused by every forward pass. A graph
-  /// whose density exceeds `max_density` stays dense (nullopt) — SpMM loses
-  /// to the blocked dense kernel there — so a cache can mix sparse and dense
-  /// graphs freely. With sparse-mode graphs (HeteroGraphsConfig::knn > 0)
-  /// the CSR Laplacians are copied straight from the graphs and the density
-  /// limit is ignored: CSR is the only form that exists.
+  /// Per-MODEL sparse Laplacian cache (DESIGN.md §9): the exact (tol = 0)
+  /// CSR form of every scaled Laplacian, built once and reused by every
+  /// forward pass. A graph whose density exceeds `max_density` stays dense
+  /// (nullopt) — SpMM loses to the blocked dense kernel there — so a cache
+  /// can mix sparse and dense graphs freely. With sparse-mode graphs
+  /// (HeteroGraphsConfig::knn > 0) the CSR Laplacians are copied straight
+  /// from the graphs and the density limit is ignored: CSR is the only form
+  /// that exists.
   struct SparseLaps {
     std::optional<CsrMatrix> geo;
     std::vector<std::optional<CsrMatrix>> temporal;  ///< one per temporal graph
   };
-  [[nodiscard]] SparseLaps make_sparse_laps(double tol = 0.0,
-                                            double max_density = 0.5) const;
+  [[nodiscard]] SparseLaps make_sparse_laps(double max_density = 0.5) const;
 
-  /// As make_lap_vars(), but skips the tape constants for graphs the sparse
-  /// cache covers (their Vars stay invalid) — CSR-covered graphs never touch
-  /// the tape, saving the O(N²) constant per graph per tape.
+  /// Tape-resident Laplacian constants for the graphs `sparse` leaves dense.
+  /// The graphs are fixed per model, so a forward pass creates these once
+  /// per tape and shares them across all lookback timesteps. CSR-covered
+  /// graphs never touch the tape (their Vars stay invalid), saving the
+  /// O(N²) constant per graph per tape.
+  struct LapVars {
+    ad::Var geo;
+    std::vector<ad::Var> temporal;  ///< one per temporal graph
+  };
   [[nodiscard]] LapVars make_lap_vars(ad::Tape& tape,
                                       const SparseLaps& sparse) const;
 
   /// x: N x in_dim complement matrix; slot: fine time-of-day slot of the
-  /// sample (drives the temporal-graph mixture weights).
-  [[nodiscard]] ad::Var forward(ad::Tape& tape, ad::Var x, std::size_t slot);
-
-  /// Same, with the Laplacians already on the tape (hot path — the per-tape
-  /// LapVars are block-agnostic, any block over the same graphs can share).
+  /// sample (drives the temporal-graph mixture weights). Each graph
+  /// propagates via SpMM when `sparse` holds its CSR and via its dense lap
+  /// Var otherwise; the two are bitwise equal. `laps` must come from
+  /// make_lap_vars(tape, sparse) — any block over the same graphs can share
+  /// them — and `sparse` must outlive the tape.
   [[nodiscard]] ad::Var forward(ad::Tape& tape, ad::Var x, std::size_t slot,
-                                const LapVars& laps);
-
-  /// Hot path with the sparse cache: each graph propagates via SpMM when its
-  /// CSR is present, falling back to the dense lap Var otherwise. `sparse`
-  /// may be null (all-dense). With tol = 0 CSR the result is bitwise equal
-  /// to the dense overloads. `sparse` must outlive the tape.
-  [[nodiscard]] ad::Var forward(ad::Tape& tape, ad::Var x, std::size_t slot,
-                                const LapVars& laps, const SparseLaps* sparse);
+                                const LapVars& laps, const SparseLaps& sparse);
 
   [[nodiscard]] std::vector<ad::Parameter*> parameters() override;
   [[nodiscard]] std::size_t out_dim() const noexcept { return out_dim_; }
@@ -114,16 +102,10 @@ struct RihgcnConfig {
   /// attention-weighted sum (paper's mentioned alternative).
   enum class Head { kConcat, kAttention };
   Head head = Head::kConcat;
-  /// Propagate Chebyshev terms through the CSR SpMM backend (DESIGN.md §9).
-  /// Bitwise identical to the dense path; off reverts to dense matmul.
-  bool use_sparse_graphs = true;
-  /// Per-graph dense fallback: graphs denser than this stay on the dense
-  /// kernels even when use_sparse_graphs is on.
+  /// Per-graph dense fallback (DESIGN.md §9): graphs denser than this stay
+  /// on the dense kernels, the rest propagate through CSR SpMM. Both are
+  /// bitwise identical, so 0.0 runs every dense-mode graph densely.
   double sparse_density_limit = 0.5;
-  /// Route the recurrent cells through the fused Tape::lstm_cell/gru_cell
-  /// kernels (3 tape nodes per step instead of ~17). Bitwise identical to
-  /// the unfused elementary-op chain; off is for differential testing.
-  bool use_fused_cells = true;
   std::uint64_t seed = 7;
   /// Reported name — lets ablation variants (e.g. "GCN-LSTM-I" with zero
   /// temporal graphs) appear under the paper's method names.
@@ -136,10 +118,12 @@ class RihgcnModel : public ForecastModel, public ClusterTrainable {
   /// f32 snapshot of this model — it reads the module tree and the sparse
   /// Laplacian cache directly at compile time, never mutating anything.
   friend class InferenceEngine;
-  /// ShardedEngine (core/sharded_engine.hpp) replicates the
-  /// prepare_clusters() sub-Laplacian recipe at serve-compile time — it
-  /// reads graphs_, sparse_laps_ and config_ the same read-only way.
+  /// ShardedEngine (core/sharded_engine.hpp) compiles one sub-engine per
+  /// cluster_specs() entry — the same cut prepare_clusters() trains on.
   friend class ShardedEngine;
+  /// Read-only access for the test that pins the trained and the served
+  /// cluster cuts to each other (tests/test_engine.cpp).
+  friend struct ClusterCutProbe;
   RihgcnModel(const HeterogeneousGraphs& graphs, std::size_t num_nodes,
               std::size_t num_features, const RihgcnConfig& config);
 
@@ -190,24 +174,28 @@ class RihgcnModel : public ForecastModel, public ClusterTrainable {
   };
   [[nodiscard]] DirectionResult run_direction(
       ad::Tape& tape, const data::Window& w, bool reverse,
-      const HgcnBlock::LapVars& laps, const HgcnBlock::SparseLaps* sparse);
+      const HgcnBlock::LapVars& laps, const HgcnBlock::SparseLaps& sparse);
 
-  /// One cluster's precomputed sub-graph (prepare_clusters).
+  /// One cluster's sub-graph: owned ∪ 1-hop halo nodes and the rows and
+  /// columns of every scaled Laplacian they keep.
   struct ClusterSpec {
     std::vector<std::size_t> nodes;  ///< owned ∪ halo, ascending
     std::vector<char> owned_row;     ///< per local row: 1 = owned, 0 = halo
-    std::size_t num_owned = 0;
     HgcnBlock::SparseLaps laps;      ///< sub-Laplacians, every graph in CSR
   };
+  /// The Cluster-GCN cut (DESIGN.md §13) into `count` >= 1 clusters: the
+  /// seeded ClusterPartitioner over the spatial adjacency, then each
+  /// cluster's sub-Laplacians. The one cut behind both prepare_clusters()
+  /// and ShardedEngine; a pure function of (graphs, count, seed).
+  [[nodiscard]] std::vector<ClusterSpec> cluster_specs(
+      std::size_t count, std::uint64_t seed) const;
 
-  /// Shared forward body. `sparse_override` non-null swaps in a cluster's
-  /// sub-Laplacians; `owned_row` non-null zero-weights halo rows in the
-  /// imputation/consistency losses. With both null this IS forward():
-  /// the full-graph op sequence is bitwise unchanged.
+  /// Shared forward body over the Laplacians in `sparse` — sparse_laps_ for
+  /// the full graph, a cluster's sub-Laplacians otherwise. `owned_row`
+  /// non-null zero-weights halo rows in the imputation/consistency losses.
   [[nodiscard]] ForwardOutput forward_impl(ad::Tape& tape,
                                            const data::Window& w,
-                                           const HgcnBlock::SparseLaps*
-                                               sparse_override,
+                                           const HgcnBlock::SparseLaps& sparse,
                                            const std::vector<char>* owned_row);
 
   const HeterogeneousGraphs& graphs_;
@@ -215,8 +203,8 @@ class RihgcnModel : public ForecastModel, public ClusterTrainable {
   std::size_t num_features_;
   Rng init_rng_;  ///< parameter-init stream; declared before the modules
   HgcnBlock hgcn_;
-  /// CSR of every scaled Laplacian, built once at construction (empty when
-  /// use_sparse_graphs is off). Shared by hgcn_ and hgcn2_ — same graphs.
+  /// CSR of every scaled Laplacian below sparse_density_limit, built once
+  /// at construction. Shared by hgcn_ and hgcn2_ — same graphs.
   HgcnBlock::SparseLaps sparse_laps_;
   std::unique_ptr<HgcnBlock> hgcn2_;  ///< present iff hgcn_layers == 2
   std::unique_ptr<nn::RecurrentCell> rnn_fwd_;

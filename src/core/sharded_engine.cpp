@@ -1,10 +1,8 @@
 #include "core/sharded_engine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
-#include "graph/cluster.hpp"
-#include "tensor/csr.hpp"
 #include "tensor/parallel.hpp"
 
 namespace rihgcn::core {
@@ -13,78 +11,30 @@ ShardedEngine::ShardedEngine(const RihgcnModel& model, Options options) {
   if (options.num_shards == 0) {
     throw std::invalid_argument("ShardedEngine: num_shards must be >= 1");
   }
-  RihgcnModel& m = const_cast<RihgcnModel&>(model);
-  n_ = m.graphs_.num_nodes();
-  horizon_ = m.config_.horizon;
+  n_ = model.graphs_.num_nodes();
+  horizon_ = model.config_.horizon;
   parallel_ = options.parallel;
 
-  // The prepare_clusters() recipe, replicated at serve-compile time: the
-  // SPATIAL adjacency drives the partition, the temporal graphs share the
-  // node set and have their out-of-shard edges cut (the Cluster-GCN
-  // approximation, DESIGN.md §13).
-  const CsrMatrix adjacency =
-      m.graphs_.sparse_mode()
-          ? m.graphs_.geographic_adjacency_csr()
-          : CsrMatrix::from_dense(m.graphs_.geographic().adjacency());
-  const graph::ClusterPartitioner partitioner(options.seed);
-  const graph::Clustering clustering =
-      partitioner.partition(adjacency, options.num_shards);
-
-  // Full scaled Laplacians in CSR form, to extract shard sub-matrices from.
-  const std::size_t num_t = m.graphs_.num_temporal();
-  CsrMatrix geo_full;
-  std::vector<CsrMatrix> temporal_full;
-  temporal_full.reserve(num_t);
-  if (m.graphs_.sparse_mode()) {
-    geo_full = m.graphs_.geographic_scaled_laplacian_csr();
-    for (std::size_t t = 0; t < num_t; ++t) {
-      temporal_full.push_back(m.graphs_.temporal_scaled_laplacian_csr(t));
-    }
-  } else {
-    geo_full = m.sparse_laps_.geo
-                   ? *m.sparse_laps_.geo
-                   : CsrMatrix::from_dense(
-                         m.graphs_.geographic().scaled_laplacian());
-    for (std::size_t t = 0; t < num_t; ++t) {
-      const bool cached =
-          t < m.sparse_laps_.temporal.size() && m.sparse_laps_.temporal[t];
-      temporal_full.push_back(
-          cached
-              ? *m.sparse_laps_.temporal[t]
-              : CsrMatrix::from_dense(m.graphs_.temporal(t).scaled_laplacian()));
-    }
-  }
-
+  // The model's own Cluster-GCN cut — the one prepare_clusters() trains on.
+  std::vector<RihgcnModel::ClusterSpec> specs =
+      model.cluster_specs(options.num_shards, options.seed);
   InferenceEngine::Options eo;
   eo.max_batch = 1;  // one window, split by NODES — not by batch
   eo.num_threads = options.num_threads;
-  shards_.reserve(clustering.num_clusters());
-  for (std::size_t c = 0; c < clustering.num_clusters(); ++c) {
-    const std::vector<std::size_t>& owned = clustering.owned[c];
-    const std::vector<std::size_t>& halo = clustering.halo[c];
+  shards_.reserve(specs.size());
+  for (RihgcnModel::ClusterSpec& spec : specs) {
     Shard sh;
-    sh.nodes.resize(owned.size() + halo.size());
-    std::merge(owned.begin(), owned.end(), halo.begin(), halo.end(),
-               sh.nodes.begin());
-    sh.owned_local.reserve(owned.size());
-    sh.owned_global.reserve(owned.size());
-    std::size_t p = 0;
-    for (std::size_t r = 0; r < sh.nodes.size(); ++r) {
-      if (p < owned.size() && owned[p] == sh.nodes[r]) {
+    for (std::size_t r = 0; r < spec.nodes.size(); ++r) {
+      if (spec.owned_row[r]) {
         sh.owned_local.push_back(r);
-        sh.owned_global.push_back(sh.nodes[r]);
-        ++p;
+        sh.owned_global.push_back(spec.nodes[r]);
       }
     }
-    HgcnBlock::SparseLaps laps;
-    laps.geo = geo_full.submatrix(sh.nodes);
-    laps.temporal.reserve(num_t);
-    for (std::size_t t = 0; t < num_t; ++t) {
-      laps.temporal.emplace_back(temporal_full[t].submatrix(sh.nodes));
-    }
     sh.engine = std::unique_ptr<InferenceEngine>(
-        new InferenceEngine(m, eo, &laps, sh.nodes.size()));
+        new InferenceEngine(model, eo, &spec.laps, spec.nodes.size()));
     sh.ws = sh.engine->make_workspace();
+    sh.nodes = std::move(spec.nodes);
+    spec.laps = {};  // the sub-engine holds its own f32 copy
     shards_.push_back(std::move(sh));
   }
 }

@@ -4,11 +4,11 @@
 // WITHIN kernels (Options::num_threads row-sharding); at city scale a single
 // window is itself the bottleneck — one N=16384 forecast is one long chain
 // of full-graph GEMM/SpMM calls. ShardedEngine carries the PR-6 Cluster-GCN
-// decomposition into the compiled f32 path: it partitions the spatial graph
-// with graph::ClusterPartitioner (the exact prepare_clusters() recipe — same
-// seeded BFS, same owned ∪ halo node sets, same CsrMatrix::submatrix
-// sub-Laplacian extraction) and compiles one private InferenceEngine per
-// cluster over that cluster's sub-graph. A predict() then
+// decomposition into the compiled f32 path: it takes the model's own
+// cluster cut (RihgcnModel::cluster_specs — the cut prepare_clusters()
+// trains on: same seeded BFS, same owned ∪ halo node sets, same
+// sub-Laplacians) and compiles one private InferenceEngine per cluster over
+// that cluster's sub-graph. A predict() then
 //
 //   1. gathers each shard's rows from the query window (data::take_rows),
 //   2. runs every shard's sub-engine — in parallel across shards on the
@@ -78,6 +78,10 @@ class ShardedEngine {
   [[nodiscard]] std::size_t horizon() const noexcept { return horizon_; }
 
  private:
+  /// Read-only access for the test that pins the trained and the served
+  /// cluster cuts to each other (tests/test_engine.cpp).
+  friend struct ClusterCutProbe;
+
   struct Shard {
     std::vector<std::size_t> nodes;         ///< owned ∪ halo, ascending
     std::vector<std::size_t> owned_local;   ///< local row of each owned node

@@ -75,28 +75,8 @@ LstmCell::State LstmCell::step(Tape& tape, Var x, const State& prev) {
   Var w_ih = tape.leaf(w_ih_);
   Var w_hh = tape.leaf(w_hh_);
   Var b = tape.leaf(bias_);
-  if (fused()) {
-    Tape::LstmState s = tape.lstm_cell(x, prev.h, prev.c, w_ih, w_hh, b);
-    return State{s.h, s.c};
-  }
-  // Unfused reference chain. One statement per node pins the tape creation
-  // order (C++ argument evaluation order is unspecified); the fused kernel's
-  // backward replays the reverse of exactly this sequence, which is what
-  // makes the bitwise fused/unfused parity tests possible.
-  const std::size_t H = hidden_dim_;
-  Var mm1 = tape.matmul(x, w_ih);
-  Var mm2 = tape.matmul(prev.h, w_hh);
-  Var pre = tape.add(mm1, mm2);
-  Var gates = tape.add_row_broadcast(pre, b);
-  Var i = tape.sigmoid(tape.slice_cols(gates, 0, H));
-  Var f = tape.sigmoid(tape.slice_cols(gates, H, 2 * H));
-  Var o = tape.sigmoid(tape.slice_cols(gates, 2 * H, 3 * H));
-  Var g = tape.tanh(tape.slice_cols(gates, 3 * H, 4 * H));
-  Var fc = tape.mul(f, prev.c);
-  Var ig = tape.mul(i, g);
-  Var c = tape.add(fc, ig);
-  Var h = tape.mul(o, tape.tanh(c));
-  return State{h, c};
+  Tape::LstmState s = tape.lstm_cell(x, prev.h, prev.c, w_ih, w_hh, b);
+  return State{s.h, s.c};
 }
 
 std::vector<Parameter*> LstmCell::parameters() {
@@ -130,36 +110,7 @@ RecurrentCell::State GruCell::step(Tape& tape, Var x, const State& prev) {
   Var w_ih = tape.leaf(w_ih_);
   Var w_hh = tape.leaf(w_hh_);
   Var b = tape.leaf(bias_);
-  if (fused()) {
-    Var h = tape.gru_cell(x, prev.h, w_ih, w_hh, b);
-    return State{h, h};
-  }
-  // Unfused reference chain; statement-per-node pins the tape order the
-  // fused kernel's backward mirrors (see LstmCell::step).
-  const std::size_t H = hidden_dim_;
-  Var xi = tape.matmul(x, w_ih);  // batch x 3H
-  Var hh = tape.matmul(prev.h, w_hh);
-  Var xr = tape.slice_cols(xi, 0, H);
-  Var hr = tape.slice_cols(hh, 0, H);
-  Var ar = tape.add(xr, hr);
-  Var br = tape.slice_cols(b, 0, H);
-  Var r = tape.sigmoid(tape.add_row_broadcast(ar, br));
-  Var xz = tape.slice_cols(xi, H, 2 * H);
-  Var hz = tape.slice_cols(hh, H, 2 * H);
-  Var az = tape.add(xz, hz);
-  Var bz = tape.slice_cols(b, H, 2 * H);
-  Var z = tape.sigmoid(tape.add_row_broadcast(az, bz));
-  Var xn = tape.slice_cols(xi, 2 * H, 3 * H);
-  Var hn = tape.slice_cols(hh, 2 * H, 3 * H);
-  Var rn = tape.mul(r, hn);
-  Var an = tape.add(xn, rn);
-  Var bn = tape.slice_cols(b, 2 * H, 3 * H);
-  Var n = tape.tanh(tape.add_row_broadcast(an, bn));
-  // h' = (1 - z) ⊙ n + z ⊙ h = n − z⊙n + z⊙h
-  Var zn = tape.mul(z, n);
-  Var nm = tape.sub(n, zn);
-  Var zh = tape.mul(z, prev.h);
-  Var h = tape.add(nm, zh);
+  Var h = tape.gru_cell(x, prev.h, w_ih, w_hh, b);
   return State{h, h};
 }
 

@@ -81,20 +81,12 @@ class RecurrentCell : public Module {
   [[nodiscard]] virtual State initial_state(Tape& tape,
                                             std::size_t batch) const = 0;
   /// One step: consumes x_t (batch x input_dim) and the previous state.
+  /// Runs as one fused Tape::lstm_cell / Tape::gru_cell — 2-3 tape nodes
+  /// per step. Values and gradients are bitwise equal to the elementary op
+  /// chain in tests/reference_cells.hpp (DESIGN.md §10).
   [[nodiscard]] virtual State step(Tape& tape, Var x, const State& prev) = 0;
   [[nodiscard]] virtual std::size_t hidden_dim() const noexcept = 0;
   [[nodiscard]] virtual std::size_t input_dim() const noexcept = 0;
-
-  /// Fused (default) routes step() through Tape::lstm_cell / Tape::gru_cell
-  /// — 2-3 tape nodes per step instead of ~15-25. Unfused builds the
-  /// elementary op chain; both produce bitwise-identical values and
-  /// gradients (tests/test_tape_arena.cpp), so unfused exists for
-  /// differential testing and as executable documentation of the math.
-  void set_fused(bool fused) noexcept { fused_ = fused; }
-  [[nodiscard]] bool fused() const noexcept { return fused_; }
-
- private:
-  bool fused_ = true;
 };
 
 /// Which recurrent cell a model uses.

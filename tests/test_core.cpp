@@ -124,13 +124,15 @@ TEST(HgcnBlock, OutputShapeAndMixing) {
   Fixture f(2);
   Rng rng(5);
   HgcnBlock block(*f.graphs, 4, 8, 2, rng);
+  const HgcnBlock::SparseLaps sparse = block.make_sparse_laps();
   ad::Tape tape;
+  const HgcnBlock::LapVars laps = block.make_lap_vars(tape, sparse);
   ad::Var x = tape.constant(Matrix(6, 4, 0.3));
-  ad::Var y = block.forward(tape, x, /*slot=*/10);
+  ad::Var y = block.forward(tape, x, /*slot=*/10, laps, sparse);
   EXPECT_EQ(tape.value(y).rows(), 6u);
   EXPECT_EQ(tape.value(y).cols(), 8u);
   // Different slots weight the temporal GCNs differently => outputs differ.
-  ad::Var y2 = block.forward(tape, x, /*slot=*/40);
+  ad::Var y2 = block.forward(tape, x, /*slot=*/40, laps, sparse);
   EXPECT_FALSE(allclose(tape.value(y), tape.value(y2), 1e-9));
 }
 
@@ -149,9 +151,11 @@ TEST(HgcnBlock, GradientFlowsThroughAllLayers) {
   Rng rng(7);
   HgcnBlock block(*f.graphs, 4, 3, 2, rng);
   for (ad::Parameter* p : block.parameters()) p->zero_grad();
+  const HgcnBlock::SparseLaps sparse = block.make_sparse_laps();
   ad::Tape tape;
   ad::Var x = tape.constant(Rng(8).normal_matrix(6, 4, 1.0));
-  ad::Var loss = tape.mean_all(block.forward(tape, x, 5));
+  ad::Var loss = tape.mean_all(
+      block.forward(tape, x, 5, block.make_lap_vars(tape, sparse), sparse));
   tape.backward(loss);
   // Every layer participates for an in-interval slot (weights > 0).
   std::size_t touched = 0;
@@ -166,12 +170,12 @@ TEST(HgcnBlock, SparseLapsRespectDensityLimit) {
   Rng rng(9);
   HgcnBlock block(*f.graphs, 4, 8, 2, rng);
   // Limit 1.0 covers every graph; limit 0.0 covers none (dense fallback).
-  const HgcnBlock::SparseLaps all = block.make_sparse_laps(0.0, 1.0);
+  const HgcnBlock::SparseLaps all = block.make_sparse_laps(1.0);
   EXPECT_TRUE(all.geo.has_value());
   ASSERT_EQ(all.temporal.size(), 2u);
   for (const auto& t : all.temporal) EXPECT_TRUE(t.has_value());
   EXPECT_EQ(all.geo->to_dense(), f.graphs->geographic().scaled_laplacian());
-  const HgcnBlock::SparseLaps none = block.make_sparse_laps(0.0, 0.0);
+  const HgcnBlock::SparseLaps none = block.make_sparse_laps(0.0);
   EXPECT_FALSE(none.geo.has_value());
   for (const auto& t : none.temporal) EXPECT_FALSE(t.has_value());
 }
@@ -180,13 +184,14 @@ TEST(HgcnBlock, SparseForwardBitwiseMatchesDense) {
   Fixture f(2);
   Rng rng(10);
   HgcnBlock block(*f.graphs, 4, 8, 2, rng);
-  const HgcnBlock::SparseLaps sparse = block.make_sparse_laps(0.0, 1.0);
+  const HgcnBlock::SparseLaps sparse = block.make_sparse_laps(1.0);
+  const HgcnBlock::SparseLaps dense = block.make_sparse_laps(0.0);
   ad::Tape tape;
   ad::Var x = tape.constant(Rng(11).normal_matrix(6, 4, 1.0));
-  const HgcnBlock::LapVars dense_laps = block.make_lap_vars(tape);
+  const HgcnBlock::LapVars dense_laps = block.make_lap_vars(tape, dense);
   const HgcnBlock::LapVars skip_laps = block.make_lap_vars(tape, sparse);
-  ad::Var yd = block.forward(tape, x, 10, dense_laps);
-  ad::Var ys = block.forward(tape, x, 10, skip_laps, &sparse);
+  ad::Var yd = block.forward(tape, x, 10, dense_laps, dense);
+  ad::Var ys = block.forward(tape, x, 10, skip_laps, sparse);
   EXPECT_EQ(tape.value(yd), tape.value(ys));
 }
 
@@ -385,15 +390,15 @@ class BackendGuard {
   BackendGuard& operator=(const BackendGuard&) = delete;
 };
 
-// End-to-end acceptance for the sparse backend: training with
-// use_sparse_graphs on and off must produce bitwise-identical losses,
-// updated parameters and predictions (tol = 0 CSR), at any thread count.
+// End-to-end acceptance for the sparse backend: training with every graph
+// in CSR (density limit 1.0) and every graph dense (limit 0.0) must produce
+// bitwise-identical losses, updated parameters and predictions (tol = 0
+// CSR), at any thread count.
 TEST(Rihgcn, SparseAndDenseTrainingBitwiseIdentical) {
   Fixture f;
-  auto train_trace = [&](bool sparse) {
+  auto train_trace = [&](double density_limit) {
     RihgcnConfig mc = f.model_config();
-    mc.use_sparse_graphs = sparse;
-    mc.sparse_density_limit = 1.0;  // cover every graph when sparse
+    mc.sparse_density_limit = density_limit;
     RihgcnModel model(*f.graphs, 6, 4, mc);
     nn::AdamOptimizer opt(model.parameters());
     std::vector<double> trace;
@@ -412,7 +417,7 @@ TEST(Rihgcn, SparseAndDenseTrainingBitwiseIdentical) {
   };
   for (const std::size_t threads : {1u, 4u}) {
     BackendGuard guard(threads);
-    EXPECT_EQ(train_trace(true), train_trace(false))
+    EXPECT_EQ(train_trace(1.0), train_trace(0.0))
         << "sparse/dense divergence at threads=" << threads;
   }
 }

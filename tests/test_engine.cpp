@@ -16,7 +16,8 @@
 //  * EngineSharded.*  — the cluster-sharded engine (DESIGN.md §16): one
 //    shard is bitwise the full engine, parallel shards are bitwise the
 //    serial sharded forward, multi-shard output stays near the full
-//    forward (Cluster-GCN halo truncation) and covers every node.
+//    forward (Cluster-GCN halo truncation) and covers every node, and the
+//    shards are exactly the clusters prepare_clusters() trains on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,10 +32,77 @@
 #include "data/generators.hpp"
 #include "data/missing.hpp"
 #include "data/windows.hpp"
+#include "tensor/csr.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/rng.hpp"
 
 namespace rihgcn {
+namespace core {
+
+// Befriended by RihgcnModel, ShardedEngine and InferenceEngine: reads the
+// clusters prepare_clusters() trains on and the shards ShardedEngine serves
+// side by side.
+struct ClusterCutProbe {
+  static void expect_shards_match_clusters(RihgcnModel& model,
+                                           std::size_t count,
+                                           std::uint64_t seed) {
+    model.prepare_clusters(count, seed);
+    ShardedEngine::Options so;
+    so.num_shards = count;
+    so.seed = seed;
+    so.parallel = false;
+    const ShardedEngine sharded(model, so);
+    ASSERT_GE(model.clusters_.size(), 2u);
+    ASSERT_EQ(sharded.shards_.size(), model.clusters_.size());
+    for (std::size_t c = 0; c < model.clusters_.size(); ++c) {
+      const RihgcnModel::ClusterSpec& spec = model.clusters_[c];
+      const ShardedEngine::Shard& shard = sharded.shards_[c];
+      EXPECT_EQ(shard.nodes, spec.nodes) << "cluster " << c;
+      std::vector<std::size_t> owned_local;
+      std::vector<std::size_t> owned_global;
+      for (std::size_t r = 0; r < spec.nodes.size(); ++r) {
+        if (spec.owned_row[r]) {
+          owned_local.push_back(r);
+          owned_global.push_back(spec.nodes[r]);
+        }
+      }
+      EXPECT_EQ(shard.owned_local, owned_local) << "cluster " << c;
+      EXPECT_EQ(shard.owned_global, owned_global) << "cluster " << c;
+      const InferenceEngine& engine = *shard.engine;
+      ASSERT_TRUE(spec.laps.geo.has_value());
+      expect_same_lap(engine.geo_op_, *spec.laps.geo);
+      ASSERT_EQ(engine.temporal_ops_.size(), spec.laps.temporal.size());
+      for (std::size_t m = 0; m < spec.laps.temporal.size(); ++m) {
+        ASSERT_TRUE(spec.laps.temporal[m].has_value());
+        expect_same_lap(engine.temporal_ops_[m], *spec.laps.temporal[m]);
+      }
+    }
+  }
+
+  /// The shard's compiled Laplacian is the cluster's sub-Laplacian narrowed
+  /// to f32, in whichever apply form the engine chose.
+  static void expect_same_lap(const InferenceEngine::GraphOp& op,
+                              const CsrMatrix& lap) {
+    if (op.sparse) {
+      EXPECT_EQ(op.csr.row_ptr(), lap.row_ptr());
+      EXPECT_EQ(op.csr.col_idx(), lap.col_idx());
+      const std::vector<float> narrowed(lap.values().begin(),
+                                        lap.values().end());
+      EXPECT_EQ(op.csr.values(), narrowed);
+      return;
+    }
+    const Matrix dense = lap.to_dense();
+    ASSERT_EQ(op.lapT.rows(), dense.rows());
+    for (std::size_t i = 0; i < dense.rows(); ++i) {
+      for (std::size_t j = 0; j < dense.cols(); ++j) {
+        EXPECT_EQ(op.lapT(j, i), static_cast<float>(dense(i, j)));
+      }
+    }
+  }
+};
+
+}  // namespace core
+
 namespace {
 
 // Documented whole-model ULP-style bound factor (DESIGN.md §14): the
@@ -67,7 +135,8 @@ struct EngineFixture {
   std::unique_ptr<core::RihgcnModel> model;
 };
 
-EngineFixture make_setup(core::RihgcnConfig mc, std::size_t num_temporal = 2) {
+EngineFixture make_setup(core::RihgcnConfig mc, std::size_t num_temporal = 2,
+                         std::size_t knn = 0) {
   EngineFixture s;
   data::PemsLikeConfig cfg;
   cfg.num_nodes = 8;
@@ -85,6 +154,7 @@ EngineFixture make_setup(core::RihgcnConfig mc, std::size_t num_temporal = 2) {
   core::HeteroGraphsConfig gcfg;
   gcfg.num_temporal_graphs = num_temporal;
   gcfg.partition_slots = 24;
+  gcfg.knn = knn;
   s.graphs = std::make_unique<core::HeterogeneousGraphs>(s.ds, train_end,
                                                          gcfg, rng);
   s.model = std::make_unique<core::RihgcnModel>(*s.graphs, s.ds.num_nodes(),
@@ -153,7 +223,7 @@ TEST(EngineParity, UnidirectionalTwoLayerHgcn) {
 
 TEST(EngineParity, DenseFallbackLaplacians) {
   core::RihgcnConfig mc = small_config();
-  mc.use_sparse_graphs = false;
+  mc.sparse_density_limit = 0.0;  // every graph on the dense kernels
   expect_parity(mc);
 }
 
@@ -359,6 +429,18 @@ TEST(EngineSharded, StaysNearFullEngineAndCoversAllNodes) {
     sum_abs += diff;
   }
   EXPECT_LT(sum_abs / static_cast<double>(got.size()), 0.8);
+}
+
+TEST(EngineSharded, ShardsAreTheTrainedClusterCut) {
+  // Training (prepare_clusters) and serving (ShardedEngine) cut the graph
+  // once, in the same place: identical node sets, owned rows and
+  // sub-Laplacians for the same (count, seed), on dense-mode graphs (with
+  // density-fallback Laplacians at this N) and on k-NN CSR graphs.
+  for (const std::size_t knn : {0u, 3u}) {
+    EngineFixture s = make_setup(small_config(), 2, knn);
+    ASSERT_EQ(s.graphs->sparse_mode(), knn > 0);
+    core::ClusterCutProbe::expect_shards_match_clusters(*s.model, 3, 7);
+  }
 }
 
 TEST(EngineSharded, DeterministicAcrossInstancesAndRejectsZeroShards) {

@@ -14,8 +14,8 @@
 //  * BITWISE (sparse vs dense): spmm(csr(A), B) == matmul(A, B) and
 //    spmm_t(csr(A), B) == matmul_at(A, B) with tol = 0 CSR, under BOTH ISAs.
 //  * BITWISE (fused vs unfused): the fused LSTM/GRU tape cells match the
-//    elementary-op chains under both ISAs (extends test_tape_arena.cpp's
-//    §10 parity to the SIMD layer).
+//    elementary-op chains of tests/reference_cells.hpp under both ISAs
+//    (extends test_tape_arena.cpp's §10 parity to the SIMD layer).
 //  * ULP-BOUNDED (float): the f32 serving kernels (tensor/fmatrix.hpp, FMA
 //    allowed) stay within (k+2)·eps_f32·Σ|a||b| of the f64 reference per
 //    element.
@@ -43,6 +43,7 @@
 #include "tensor/rng.hpp"
 #include "tensor/simd.hpp"
 
+#include "reference_cells.hpp"
 #include "reference_gemm.hpp"
 
 namespace rihgcn {
@@ -412,25 +413,28 @@ TEST(KernelConformance, SparseMatchesDenseBitwiseUnderBothIsas) {
 
 struct CellRun {
   std::vector<Matrix> h;
+  Matrix c;  ///< final memory cell (LSTM)
   double loss = 0.0;
   std::vector<Matrix> grads;
 };
 
+// `fused` false builds each step from the reference chain instead.
 template <typename Cell>
 CellRun run_cell(Cell& cell, bool fused, const std::vector<Matrix>& xs) {
-  cell.set_fused(fused);
   for (Parameter* p : cell.parameters()) p->zero_grad();
   Tape tape;
   typename Cell::State state = cell.initial_state(tape, xs.front().rows());
   std::vector<Var> hs;
   for (const Matrix& x : xs) {
-    state = cell.step(tape, tape.constant(x), state);
+    state = fused ? cell.step(tape, tape.constant(x), state)
+                  : ref::step(tape, cell, tape.constant(x), state);
     hs.push_back(state.h);
   }
   Var loss = tape.mean_all(tape.concat_cols_many(hs));
   tape.backward(loss);
   CellRun run;
   for (Var h : hs) run.h.push_back(tape.value(h));
+  run.c = tape.value(state.c);
   run.loss = tape.value(loss)(0, 0);
   for (Parameter* p : cell.parameters()) run.grads.push_back(p->grad());
   return run;
@@ -439,6 +443,7 @@ CellRun run_cell(Cell& cell, bool fused, const std::vector<Matrix>& xs) {
 void expect_same_run(const CellRun& a, const CellRun& b) {
   ASSERT_EQ(a.h.size(), b.h.size());
   for (std::size_t t = 0; t < a.h.size(); ++t) EXPECT_EQ(a.h[t], b.h[t]);
+  EXPECT_EQ(a.c, b.c);
   EXPECT_EQ(a.loss, b.loss);  // bitwise: no tolerance
   ASSERT_EQ(a.grads.size(), b.grads.size());
   for (std::size_t i = 0; i < a.grads.size(); ++i) {

@@ -4,26 +4,23 @@
 //    bitwise identical to a fresh-tape pass (including with a pool dirtied
 //    by a differently-shaped graph) and allocates nothing in steady state;
 //    leaf() dedup; the n-ary concat node vs a binary-concat chain.
-//  * FusedCell.*    — Tape::lstm_cell/gru_cell vs the unfused elementary-op
-//    chains in nn::LstmCell/nn::GruCell: values AND parameter gradients must
-//    match bitwise (tol = 0) at 1/2/4 threads, per the §10 parity contract.
-//    Numerical gradient checks validate the hand-written backwards
-//    independently of the unfused reference.
+//  * FusedCell.*    — Tape::lstm_cell/gru_cell (nn::LstmCell/nn::GruCell)
+//    vs the unfused elementary-op chains in reference_cells.hpp: values AND
+//    parameter gradients must match bitwise (tol = 0) at 1/2/4 threads, per
+//    the §10 parity contract. Numerical gradient checks validate the
+//    hand-written backwards independently of the unfused reference.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
 #include "autodiff/tape.hpp"
-#include "core/hetero_graphs.hpp"
-#include "core/rihgcn.hpp"
-#include "data/generators.hpp"
-#include "data/missing.hpp"
-#include "data/windows.hpp"
 #include "nn/layers.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/pool.hpp"
 #include "tensor/rng.hpp"
+
+#include "reference_cells.hpp"
 
 namespace rihgcn {
 namespace {
@@ -70,17 +67,18 @@ struct CellRun {
 };
 
 // Multi-step run so estimates receive delayed gradients through the
-// recurrence; the loss reads every step's h via the n-ary concat.
+// recurrence; the loss reads every step's h via the n-ary concat. `fused`
+// false builds each step from the reference chain instead.
 template <typename Cell>
 CellRun run_cell(Cell& cell, bool fused, const std::vector<Matrix>& xs) {
-  cell.set_fused(fused);
   for (Parameter* p : cell.parameters()) p->zero_grad();
   Tape tape;
   typename Cell::State state = cell.initial_state(tape, xs.front().rows());
   std::vector<Var> hs;
   CellRun run;
   for (const Matrix& x : xs) {
-    state = cell.step(tape, tape.constant(x), state);
+    state = fused ? cell.step(tape, tape.constant(x), state)
+                  : ref::step(tape, cell, tape.constant(x), state);
     hs.push_back(state.h);
   }
   Var loss = tape.mean_all(tape.concat_cols_many(hs));
@@ -162,14 +160,12 @@ TEST(FusedCell, LstmStepAddsThreeNodesUnfusedAtLeastThreeTimesMore) {
   Tape tape;
   auto state = cell.initial_state(tape, 5);
   Var xv = tape.constant(x);
-  cell.set_fused(true);
   state = cell.step(tape, xv, state);  // warm-up: caches the parameter leaves
   std::size_t before = tape.num_nodes();
   state = cell.step(tape, xv, state);
   const std::size_t fused_nodes = tape.num_nodes() - before;
-  cell.set_fused(false);
   before = tape.num_nodes();
-  state = cell.step(tape, xv, state);
+  state = ref::step(tape, cell, xv, state);
   const std::size_t unfused_nodes = tape.num_nodes() - before;
   EXPECT_EQ(fused_nodes, 3u);  // gates, c, h
   EXPECT_GE(unfused_nodes, 3 * fused_nodes);
@@ -180,7 +176,6 @@ TEST(FusedCell, GruStepAddsTwoNodes) {
   nn::GruCell cell(4, 3, rng);
   const Matrix x = randn(5, 4, 201);
   Tape tape;
-  cell.set_fused(true);
   auto state = cell.initial_state(tape, 5);
   Var xv = tape.constant(x);
   state = cell.step(tape, xv, state);  // warm-up: caches the parameter leaves
@@ -191,7 +186,6 @@ TEST(FusedCell, GruStepAddsTwoNodes) {
 
 template <typename Cell>
 void check_cell_gradients(Cell& cell, const std::vector<Matrix>& xs) {
-  cell.set_fused(true);
   auto loss_value = [&]() {
     Tape tape;
     auto state = cell.initial_state(tape, xs.front().rows());
@@ -229,56 +223,6 @@ TEST(FusedCell, GruGradientCheck) {
   Rng rng(16);
   nn::GruCell cell(3, 2, rng);
   check_cell_gradients(cell, make_inputs(3, 4, 3));
-}
-
-// Full model: flipping use_fused_cells must not change the loss value or any
-// parameter gradient (bitwise), on the real bidirectional-imputation graph.
-TEST(FusedCell, RihgcnModelParity) {
-  data::PemsLikeConfig cfg;
-  cfg.num_nodes = 6;
-  cfg.num_days = 2;
-  cfg.steps_per_day = 48;
-  cfg.seed = 3;
-  data::TrafficDataset ds = data::generate_pems_like(cfg);
-  Rng rng(4);
-  data::inject_mcar(ds, 0.4, rng);
-  const std::size_t train_end = ds.num_timesteps() * 7 / 10;
-  const data::ZScoreNormalizer nz(ds, train_end);
-  nz.normalize(ds);
-  data::WindowSampler sampler(ds, 6, 3);
-  core::HeteroGraphsConfig gcfg;
-  gcfg.num_temporal_graphs = 1;
-  gcfg.partition_slots = 24;
-  core::HeterogeneousGraphs graphs(ds, train_end, gcfg, rng);
-
-  core::RihgcnConfig mc;
-  mc.lookback = 6;
-  mc.horizon = 3;
-  mc.gcn_dim = 4;
-  mc.lstm_dim = 5;
-  mc.cheb_order = 2;
-  const data::Window w = sampler.make_window(0);
-
-  auto run = [&](bool fused) {
-    core::RihgcnConfig c = mc;
-    c.use_fused_cells = fused;
-    core::RihgcnModel model(graphs, ds.num_nodes(), ds.num_features(), c);
-    for (Parameter* p : model.parameters()) p->zero_grad();
-    Tape tape;
-    Var loss = model.training_loss(tape, w);
-    const double loss_val = tape.value(loss)(0, 0);
-    tape.backward(loss);
-    std::vector<Matrix> grads;
-    for (Parameter* p : model.parameters()) grads.push_back(p->grad());
-    return std::make_pair(loss_val, std::move(grads));
-  };
-  const auto [loss_f, grads_f] = run(true);
-  const auto [loss_u, grads_u] = run(false);
-  EXPECT_EQ(loss_f, loss_u);
-  ASSERT_EQ(grads_f.size(), grads_u.size());
-  for (std::size_t i = 0; i < grads_f.size(); ++i) {
-    EXPECT_EQ(grads_f[i], grads_u[i]) << "param " << i;
-  }
 }
 
 // ---- Tape arena: reset(), pool reuse, leaf dedup, n-ary concat -------------

@@ -40,11 +40,10 @@ Args parse_args(int argc, char** argv, int start) {
       throw std::runtime_error("expected --flag, got: " + key);
     }
     key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      args[key] = argv[++i];
-    } else {
-      args[key] = "1";  // boolean flag
-    }
+    const bool has_value =
+        i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
+    args[key] = has_value ? std::string(argv[++i])
+                          : std::string("1");  // boolean flag
   }
   return args;
 }
