@@ -288,13 +288,7 @@ void write_micro_json(const std::string& path,
                     r.min_ns, r.stddev_ns);
       extra += buf;
     }
-    if (r.workers != 0) {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), ", \"workers\": %zu", r.workers);
-      extra += buf;
-    }
     if (!r.kind.empty()) extra += ", \"kind\": \"" + r.kind + "\"";
-    if (r.informational) extra += ", \"informational\": true";
     std::snprintf(line, sizeof(line),
                   "  {\"name\": \"%s\", \"n\": %zu, \"density\": %.6f, "
                   "\"ns_per_op\": %.1f, \"threads\": %zu%s}%s\n",

@@ -51,16 +51,9 @@ struct MicroResult {
   std::size_t threads = 0;
   double min_ns = 0.0;      ///< fastest window (least-interference estimate)
   double stddev_ns = 0.0;   ///< window spread (noise indicator; 0 = counter)
-  /// ExecPool workers the serving row ran with (0 = inline flush / not a
-  /// serve row). Emitted only when nonzero; check_bench.py keys rows on
-  /// (name, n, threads) and ignores this field.
-  std::size_t workers = 0;
   /// Row class for tools/check_bench.py: "" = timed (threshold-gated),
   /// "counter" = deterministic program fact (exact-diff gated).
   std::string kind;
-  /// True while a freshly-added row rides one PR without a trusted
-  /// baseline; check_bench.py reports but never gates it.
-  bool informational = false;
 };
 
 /// Write micro results as a JSON array of objects. Throws std::runtime_error

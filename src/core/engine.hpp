@@ -99,9 +99,9 @@ class InferenceEngine {
   /// Batched forward over `batch` windows (1 ≤ batch ≤ max_batch). Each
   /// window must have `lookback` steps of N x F observations/masks. Returns
   /// ws.predictions(); no heap allocation happens on this path. Virtual so
-  /// fault-injecting test decorators (serve::FaultyEngine) can wrap the
-  /// plan; the serving hot path pays one indirect call per FLUSH, not per
-  /// request.
+  /// decorators can wrap the plan (the fault-injecting test engine in
+  /// tests/faulty_engine.hpp, perfbench's tracing engine); the serving hot
+  /// path pays one indirect call per FLUSH, not per request.
   virtual const FMatrix& predict_batch(const data::Window* const* windows,
                                        std::size_t batch, Workspace& ws) const;
 

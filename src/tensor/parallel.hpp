@@ -9,9 +9,6 @@
 //  * Kernel bodies write disjoint outputs and each output element is
 //    produced entirely inside one chunk, so results are bit-for-bit
 //    identical for every thread count, including fully serial execution.
-//  * parallel_reduce combines per-chunk partial results strictly in
-//    ascending chunk order, so floating-point rounding does not depend on
-//    the thread count either (it does depend on `grain`, which is fixed).
 //
 // Sizing: the process-wide pool (ThreadPool::global()) reads the
 // RIHGCN_THREADS environment variable once at first use; unset falls back to
@@ -31,14 +28,13 @@
 
 namespace rihgcn {
 
-/// Work-stealing-free fixed-size thread pool. parallel_for/parallel_reduce
-/// are synchronous (they return when every chunk has run); enqueue() is
-/// fire-and-forget for independent background tasks.
+/// Work-stealing-free fixed-size thread pool. parallel_for is synchronous:
+/// it returns when every chunk has run.
 ///
 /// Thread safety: parallel_for may be called concurrently from several
 /// non-pool threads (each call is an independent job; the trainer's
 /// data-parallel workers rely on this). A parallel_for issued from inside a
-/// running chunk or task executes inline and serially (reentrancy guard) —
+/// running chunk executes inline and serially (reentrancy guard) —
 /// nesting never deadlocks and never oversubscribes.
 class ThreadPool {
  public:
@@ -62,22 +58,8 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const RangeBody& body);
 
-  /// chunk_fn maps a chunk [b, e) to its partial result; partials are
-  /// combined as ((init + r0) + r1) + ... in ascending chunk order.
-  using ChunkReducer = std::function<double(std::size_t, std::size_t)>;
-  [[nodiscard]] double parallel_reduce(std::size_t begin, std::size_t end,
-                                       std::size_t grain, double init,
-                                       const ChunkReducer& chunk_fn);
-
-  /// Fire-and-forget task. Tasks still queued when the pool is destroyed
-  /// are discarded (tasks already running are completed first); exceptions
-  /// escaping a task are swallowed. Runs inline if the pool has no workers.
-  void enqueue(std::function<void()> task);
-  /// Block until the enqueue() queue is empty and no task is running.
-  void wait_idle();
-
-  /// True while the calling thread is executing a chunk body or an enqueued
-  /// task — i.e. a parallel_for issued now would run inline.
+  /// True while the calling thread is executing a chunk body — i.e. a
+  /// parallel_for issued now would run inline.
   [[nodiscard]] static bool in_parallel_region() noexcept;
 
   /// Process-wide pool, created on first use with threads_from_env().
@@ -105,12 +87,9 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;
-  std::condition_variable work_cv_;  // workers: jobs/tasks available or stop
+  std::condition_variable work_cv_;  // workers: jobs available or stop
   std::condition_variable done_cv_;  // parallel_for callers: job finished
-  std::condition_variable idle_cv_;  // wait_idle(): task queue drained
   std::deque<RangeJob*> jobs_;
-  std::deque<std::function<void()>> tasks_;
-  std::size_t active_tasks_ = 0;
   bool stop_ = false;
   std::size_t num_threads_ = 1;
 };
@@ -119,9 +98,8 @@ class ThreadPool {
 /// the serial path runs inline so tiny matrices don't pay pool dispatch
 /// overhead. Mutable so tests and benchmarks can force the threaded path on
 /// small inputs; not synchronized — set while no kernels are in flight.
-/// Grain changes never alter elementwise/matmul results (each output element
-/// is produced wholly inside one chunk); they do alter parallel_reduce
-/// rounding, which is why the defaults are fixed constants.
+/// Grain changes never alter kernel results: each output element is
+/// produced wholly inside one chunk.
 struct ParallelTuning {
   static std::size_t min_elems;         ///< elementwise ops: min elements
   static std::size_t elem_grain;        ///< elementwise ops: chunk size

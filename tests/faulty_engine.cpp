@@ -1,4 +1,4 @@
-#include "serve/faulty_engine.hpp"
+#include "faulty_engine.hpp"
 
 #include <chrono>
 #include <limits>

@@ -1,4 +1,5 @@
 // Seeded fault-injecting engine decorator (DESIGN.md §15 test harness).
+// Test code: compiled into the test binary only, never into a library.
 //
 // FaultyEngine compiles the SAME execution plan as core::InferenceEngine
 // (it IS one — construction runs the base compiler) and then corrupts the

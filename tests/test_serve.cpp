@@ -53,9 +53,10 @@
 #include "serve/error.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/exec_pool.hpp"
-#include "serve/faulty_engine.hpp"
 #include "serve/server.hpp"
 #include "tensor/rng.hpp"
+
+#include "faulty_engine.hpp"
 
 namespace rihgcn {
 namespace {
@@ -939,6 +940,7 @@ TEST(ServePublish, CanaryQuarantinesPoisonedCandidate) {
   st = server.stats();
   EXPECT_EQ(st.snapshot_swaps, 1u);
   EXPECT_EQ(st.quarantined_publishes, 2u);
+  EXPECT_EQ(st.engine_failures, 0u);  // a canary failure is not a serving one
 }
 
 // ---- ExecPool (DESIGN.md §16) ----------------------------------------------

@@ -12,18 +12,13 @@ Rows are keyed by (name, n, threads). Two row classes:
     median exceeds the baseline by more than --threshold (default +25%,
     wide enough to absorb shared-runner noise while catching real
     regressions like an accidentally serialized kernel).
-  * counter rows (`"kind": "counter"`; name-prefix fallback for old
-    baselines) — deterministic program facts, not timings. Any change at all
-    fails: a new allocation on the steady-state path or a fatter tape is a
+  * counter rows (`"kind": "counter"`, written by bench/harness.cpp) —
+    deterministic program facts, not timings. Any change at all fails: a
+    new allocation on the steady-state path or a fatter tape is a
     regression regardless of speed.
 
 Rows only present in one file are reported but never fail the gate —
 benches grow new rows and retire old ones across PRs.
-
-A baseline row carrying `"informational": true` is never gated either: all
-its differences (timing or counter) are printed as notes. This is how a
-freshly-added row rides one PR without a trusted baseline — once its noise
-floor is known, the flag is dropped and the row joins the gate.
 
 --advisory prints the same report but always exits 0 (the CI job runs in
 this mode first; the flag is dropped once the runner noise floor is known).
@@ -35,19 +30,10 @@ import argparse
 import json
 import sys
 
-# Counter-row prefixes: fallback classification for rows written before the
-# harness stamped an explicit "kind" field (see module docstring).
-COUNTER_PREFIXES = ("tape_nodes_", "pool_steady_allocs")
-
 
 def is_counter(row: dict) -> bool:
-    """A row is a counter iff it says so (`"kind": "counter"`, written by
-    bench/harness.cpp) — with a name-prefix fallback for baselines generated
-    before the field existed."""
-    kind = row.get("kind")
-    if kind is not None:
-        return kind == "counter"
-    return row["name"].startswith(COUNTER_PREFIXES)
+    """A row is a counter iff it says so (`"kind": "counter"`)."""
+    return row.get("kind") == "counter"
 
 
 def load_rows(path: str) -> dict[tuple[str, int, int], dict]:
@@ -102,11 +88,6 @@ def main() -> int:
     for key in sorted(base.keys() & fresh.keys()):
         old = float(base[key]["ns_per_op"])
         new = float(fresh[key]["ns_per_op"])
-        if base[key].get("informational"):
-            print(
-                f"  info (not gated)  {fmt_key(key)}: {old:g} -> {new:g} ns/op"
-            )
-            continue
         compared += 1
         if is_counter(base[key]) or is_counter(fresh[key]):
             if new != old:

@@ -1,43 +1,24 @@
 #!/usr/bin/env bash
-# Build the micro benches (Release) and refresh the machine-readable perf
-# baselines at the repo root:
-#   BENCH_micro.json — kernel/train-step trajectory (bench_micro; SpMM vs
-#     dense Chebyshev, SIMD layer, DTW graph construction, train-step
-#     configs; see DESIGN.md §9)
-#   BENCH_serve.json — serving trajectory (bench_serve; engine-vs-tape
-#     forward, ForecastServer QPS + latency percentiles; see DESIGN.md §14)
+# Build the micro benches (Release) and refresh the kernel/train-step
+# baseline at the repo root:
+#   BENCH_micro.json — SpMM vs dense Chebyshev, SIMD layer, DTW graph
+#     construction, train-step configs (bench_micro; see DESIGN.md §9)
+# End-to-end serving and training numbers come from perfbench
+# (perfbench/README.md), not from this script.
 #
-# Usage: tools/run_bench.sh [--micro|--serve] [extra bench flags]
-# Default refreshes both. The registered google-benchmark suites of
-# bench_micro are skipped by default (pass --benchmark_filter=... to include
-# some).
+# Usage: tools/run_bench.sh [extra bench_micro flags]
+# The registered google-benchmark suites of bench_micro are skipped by
+# default (pass --benchmark_filter=... to include some).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "${repo_root}"
 
-run_micro=1
-run_serve=1
-if [[ "${1:-}" == "--micro" ]]; then
-  run_serve=0
-  shift
-elif [[ "${1:-}" == "--serve" ]]; then
-  run_micro=0
-  shift
-fi
-
 build_dir=build-bench
 cmake -B "${build_dir}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "${build_dir}" -j --target bench_micro bench_serve
+cmake --build "${build_dir}" -j --target bench_micro
 
-if [[ "${run_micro}" == 1 ]]; then
-  "${build_dir}/bench/bench_micro" \
-    --benchmark_filter='^$' \
-    --json="${repo_root}/BENCH_micro.json" \
-    "$@"
-fi
-if [[ "${run_serve}" == 1 ]]; then
-  "${build_dir}/bench/bench_serve" \
-    --json="${repo_root}/BENCH_serve.json" \
-    "$@"
-fi
+"${build_dir}/bench/bench_micro" \
+  --benchmark_filter='^$' \
+  --json="${repo_root}/BENCH_micro.json" \
+  "$@"
