@@ -351,10 +351,11 @@ void BM_GruStep(benchmark::State& state) {
 BENCHMARK(BM_GruStep);
 
 // Data-parallel batch gradients: wall-clock for an 8-window batch at 1, 2
-// and 4 worker threads, mirroring the trainer's per-worker batch parallelism
-// (persistent ThreadPool crew, hoisted arena tapes, grain-1 parallel_for so
-// every kernel inside a worker runs inline; speedup tops out at the core
-// count and the reduction cost).
+// and 4 worker threads, mirroring the trainer's batch_gradients (persistent
+// ThreadPool crew, hoisted arena tapes, one gradient sink per window reduced
+// in window order; with several workers the grain-1 parallel_for runs every
+// kernel inside a worker inline, and one worker runs the body directly;
+// speedup tops out at the core count and the reduction cost).
 void BM_ParallelBatch(benchmark::State& state) {
   static RihgcnBenchFixture fixture;
   const auto threads = static_cast<std::size_t>(state.range(0));
@@ -367,28 +368,23 @@ void BM_ParallelBatch(benchmark::State& state) {
   }
   for (auto _ : state) {
     for (ad::Parameter* p : fixture.model->parameters()) p->zero_grad();
-    if (threads <= 1) {
-      ad::Tape& tape = *tapes[0];
-      for (const std::size_t i : idx) {
+    std::vector<ad::Tape::GradSink> sinks(idx.size());
+    const auto run_worker = [&](std::size_t w, std::size_t) {
+      for (std::size_t b = w; b < idx.size(); b += threads) {
+        ad::Tape& tape = *tapes[w];
         tape.reset();
         ad::Var loss =
-            fixture.model->training_loss(tape, sampler.make_window(i));
-        tape.backward(loss);
+            fixture.model->training_loss(tape, sampler.make_window(idx[b]));
+        tape.backward_into(loss, sinks[b]);
       }
+    };
+    if (threads <= 1) {
+      run_worker(0, 1);
     } else {
-      std::vector<ad::Tape::GradSink> sinks(threads);
-      crew.parallel_for(0, threads, 1, [&](std::size_t w, std::size_t) {
-        for (std::size_t b = w; b < idx.size(); b += threads) {
-          ad::Tape& tape = *tapes[w];
-          tape.reset();
-          ad::Var loss = fixture.model->training_loss(
-              tape, sampler.make_window(idx[b]));
-          tape.backward_into(loss, sinks[w]);
-        }
-      });
-      for (auto& sink : sinks) {
-        for (auto& [param, grad] : sink) param->grad() += grad;
-      }
+      crew.parallel_for(0, threads, 1, run_worker);
+    }
+    for (auto& sink : sinks) {
+      for (auto& [param, grad] : sink) param->grad() += grad;
     }
     benchmark::ClobberMemory();
   }

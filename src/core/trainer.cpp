@@ -28,58 +28,59 @@ std::vector<std::size_t> subsample(const std::vector<std::size_t>& all,
   return out;
 }
 
-/// Forward/backward over batch windows [pos, batch_end) with per-worker
-/// batch granularity on `pool` (one persistent crew per train_model call —
-/// no thread spawn/join per batch). Chunk w of the grain-1 parallel_for IS
-/// worker w: it owns a private gradient sink, a private arena tape from
-/// `tapes` (reused via reset() across windows and batches), and the strided
-/// item slice {w, w+workers, ...}. Because chunk bodies run under
-/// the pool's reentrancy guard, every tensor kernel inside executes inline —
-/// all parallelism is at batch granularity, none is wasted on intra-kernel
-/// splits that BENCH_micro.json showed going flat. Sinks reduce into the
-/// parameters in ascending worker order, and kernel results are
-/// thread-count-invariant by the DESIGN.md §8 contract, so the result is
-/// bitwise identical to any schedule with the same `workers` count (the
-/// checkpoint determinism contract keys on num_threads for the slice
-/// assignment alone). Returns the summed batch loss.
-///
-/// Partitioned mode (`ct` non-null, DESIGN.md §13): each batch window
-/// expands into `cmult` work items, one per cluster, enumerated as
-/// p = (b - pos) * cmult + c so consecutive items interleave clusters of the
-/// same window across workers. With ct == nullptr / cmult == 1 the item
-/// enumeration degenerates to exactly the original per-window slices.
-double parallel_batch_gradients(ForecastModel& model, ClusterTrainable* ct,
-                                std::size_t cmult,
-                                const data::WindowSampler& sampler,
-                                const std::vector<std::size_t>& train_idx,
-                                const std::vector<std::size_t>& order,
-                                std::size_t pos, std::size_t batch_end,
-                                std::size_t workers, ThreadPool& pool,
-                                std::vector<std::unique_ptr<ad::Tape>>& tapes) {
+/// Forward/backward over batch windows [pos, batch_end). Work item p is a
+/// window, or in partitioned mode (`ct` non-null, DESIGN.md §13) a
+/// (window, cluster) pair enumerated as p = (b - pos) * cmult + c. Item p
+/// writes its loss into losses[p] and its gradient into sinks[p]; once the
+/// batch has run, the slots add into the parameters in ascending p, so the
+/// bits depend on the item order alone and never on `workers` (DESIGN.md
+/// §8). Worker w takes the strided items {w, w+workers, ...} on its own
+/// arena tape from `tapes` (reused via reset() across items and batches).
+/// Several workers run as chunks of `pool` (one persistent crew per
+/// train_model call), where the reentrancy guard runs every tensor kernel
+/// inline; one worker runs the body directly, so its kernels keep the
+/// global pool. Returns the summed batch loss.
+double batch_gradients(ForecastModel& model, ClusterTrainable* ct,
+                       std::size_t cmult, const data::WindowSampler& sampler,
+                       const std::vector<std::size_t>& train_idx,
+                       const std::vector<std::size_t>& order, std::size_t pos,
+                       std::size_t batch_end, std::size_t workers,
+                       ThreadPool& pool,
+                       std::vector<std::unique_ptr<ad::Tape>>& tapes) {
   const std::size_t items = (batch_end - pos) * cmult;
   workers = std::min(workers, items);
   while (tapes.size() < workers) {
     tapes.push_back(std::make_unique<ad::Tape>());
   }
-  std::vector<ad::Tape::GradSink> sinks(workers);
-  std::vector<double> losses(workers, 0.0);
-  pool.parallel_for(0, workers, 1, [&](std::size_t w, std::size_t) {
+  std::vector<ad::Tape::GradSink> sinks(items);
+  std::vector<double> losses(items, 0.0);
+  const auto run_worker = [&](std::size_t w, std::size_t) {
+    ad::Tape& tape = *tapes[w];
+    data::Window window;
+    std::size_t window_b = batch_end;  // no window built yet
     for (std::size_t p = w; p < items; p += workers) {
       const std::size_t b = pos + p / cmult;
-      const data::Window window = sampler.make_window(train_idx[order[b]]);
-      ad::Tape& tape = *tapes[w];
+      if (b != window_b) {  // a worker's items of one window are adjacent
+        window = sampler.make_window(train_idx[order[b]]);
+        window_b = b;
+      }
       tape.reset();
       ad::Var loss = ct == nullptr
                          ? model.training_loss(tape, window)
                          : ct->cluster_training_loss(tape, window, p % cmult);
-      losses[w] += tape.value(loss)(0, 0);
-      tape.backward_into(loss, sinks[w]);
+      losses[p] = tape.value(loss)(0, 0);
+      tape.backward_into(loss, sinks[p]);
     }
-  });
+  };
+  if (workers == 1) {
+    run_worker(0, 1);
+  } else {
+    pool.parallel_for(0, workers, 1, run_worker);
+  }
   double total_loss = 0.0;
-  for (std::size_t w = 0; w < workers; ++w) {
-    total_loss += losses[w];
-    for (auto& [param, grad] : sinks[w]) param->grad() += grad;
+  for (std::size_t p = 0; p < items; ++p) {
+    total_loss += losses[p];
+    for (auto& [param, grad] : sinks[p]) param->grad() += grad;
   }
   return total_loss;
 }
@@ -146,10 +147,10 @@ TrainReport train_model(ForecastModel& model,
     const nn::TrainCheckpoint ckpt =
         nn::load_training_checkpoint(config.checkpoint_path, params);
     if (ckpt.batch_size != config.batch_size ||
-        ckpt.num_threads != config.num_threads || ckpt.seed != config.seed) {
+        ckpt.num_clusters != config.num_clusters || ckpt.seed != config.seed) {
       throw std::runtime_error(
           "train_model: checkpoint determinism contract mismatch "
-          "(batch_size/num_threads/seed differ from the saved run)");
+          "(batch_size/num_clusters/seed differ from the saved run)");
     }
     rng.set_state(ckpt.rng);
     optimizer.set_state(ckpt.adam);
@@ -169,7 +170,7 @@ TrainReport train_model(ForecastModel& model,
     nn::TrainCheckpoint ckpt;
     ckpt.epoch = completed_epochs;
     ckpt.batch_size = config.batch_size;
-    ckpt.num_threads = config.num_threads;
+    ckpt.num_clusters = config.num_clusters;
     ckpt.seed = config.seed;
     ckpt.rng = rng.state();
     ckpt.adam = optimizer.state();
@@ -187,14 +188,11 @@ TrainReport train_model(ForecastModel& model,
   };
   // Arena tapes, hoisted out of the epoch/batch loops: reset() recycles node
   // slots and Matrix buffers, so steady-state training steps allocate
-  // (almost) nothing (DESIGN.md §10). One tape per worker in the parallel
-  // path; the serial path uses the first.
-  ad::Tape serial_tape;
+  // (almost) nothing (DESIGN.md §10). One tape per batch worker.
   std::vector<std::unique_ptr<ad::Tape>> worker_tapes;
   // Dedicated persistent crew for the data-parallel batch workers, sized to
-  // the configured count (NOT the global pool: its size is a determinism
-  // input recorded in checkpoints, so it must not be clamped or shared).
-  // Constructed once per training run; a size-1 pool spawns no threads.
+  // the configured count rather than sharing the global pool. Constructed
+  // once per training run; a size-1 pool spawns no threads.
   ThreadPool batch_pool(config.num_threads);
   const std::size_t checkpoint_every =
       std::max<std::size_t>(1, config.checkpoint_every);
@@ -213,24 +211,9 @@ TrainReport train_model(ForecastModel& model,
       const std::size_t batch_end =
           std::min(order.size(), pos + config.batch_size);
       optimizer.zero_grad();
-      double batch_loss = 0.0;
-      if (config.num_threads <= 1) {
-        for (std::size_t b = pos; b < batch_end; ++b) {
-          const data::Window w = sampler.make_window(train_idx[order[b]]);
-          for (std::size_t c = 0; c < cmult; ++c) {
-            serial_tape.reset();
-            ad::Var loss = ct == nullptr
-                               ? model.training_loss(serial_tape, w)
-                               : ct->cluster_training_loss(serial_tape, w, c);
-            batch_loss += serial_tape.value(loss)(0, 0);
-            serial_tape.backward(loss);
-          }
-        }
-      } else {
-        batch_loss = parallel_batch_gradients(
-            model, ct, cmult, sampler, train_idx, order, pos, batch_end,
-            config.num_threads, batch_pool, worker_tapes);
-      }
+      const double batch_loss = batch_gradients(
+          model, ct, cmult, sampler, train_idx, order, pos, batch_end,
+          config.num_threads, batch_pool, worker_tapes);
       // Average the accumulated gradient over the batch's work items (one
       // per window, or per (window, cluster) pair in partitioned mode).
       const double inv = 1.0 / static_cast<double>((batch_end - pos) * cmult);

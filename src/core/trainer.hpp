@@ -2,9 +2,10 @@
 // gradient clipping (paper §IV-B3: lr 1e-3, batch 64), early stopping on
 // validation MAE with patience 6, and best-epoch parameter restoration.
 //
-// Mini-batching with a per-sample tape: gradients from `batch_size` windows
-// accumulate into the parameters (Tape::backward does not zero them), then
-// one optimizer step is applied to the averaged gradient.
+// Mini-batching with a per-item tape: each of the batch's work items (one per
+// window, or per (window, cluster) pair) backpropagates into its own gradient
+// sink, the sinks add into the parameters in item order, and one optimizer
+// step is applied to the averaged gradient.
 //
 // Fault tolerance (DESIGN.md §11): every step runs behind a NumericalGuard
 // (non-finite loss/gradient and loss-spike detection with batch skipping,
@@ -38,25 +39,25 @@ struct TrainConfig {
   std::uint64_t seed = 1234;
   /// Restore the best-validation parameters at the end.
   bool restore_best = true;
-  /// Data-parallel workers per mini-batch; must be > 0 (validated). Each
-  /// worker runs forward/backward for a slice of the batch into a private
-  /// gradient sink; sinks are reduced in worker order, so results are
-  /// deterministic for a fixed thread count (floating-point addition order
-  /// changes with it).
+  /// Data-parallel workers per mini-batch; must be > 0 (validated). Worker w
+  /// runs forward/backward for the strided work items {w, w+W, ...}; every
+  /// item writes its own gradient sink, and the sinks reduce in item order,
+  /// so the trained bits do not depend on this count. It sets speed only and
+  /// is not part of the checkpoint contract.
   std::size_t num_threads = 1;
   /// Numerical health guard (see core/robust.hpp). Enabled by default; on
   /// healthy data it never intervenes and its counters stay zero.
   GuardConfig guard;
-  /// Durable checkpointing: when non-empty, a rihgcn-train-ckpt v2 file is
+  /// Durable checkpointing: when non-empty, a rihgcn-train-ckpt v3 file is
   /// written here after every `checkpoint_every` completed epochs (and after
   /// the final epoch). Writes are atomic (temp file + rename).
   std::string checkpoint_path;
   std::size_t checkpoint_every = 1;
   /// Resume from `checkpoint_path` before training. The checkpoint must
-  /// match this config's batch_size / num_threads / seed (determinism
-  /// contract — see DESIGN.md §11); training continues at the saved epoch
-  /// and, on a clean run, ends with parameters bitwise identical to an
-  /// uninterrupted run.
+  /// match this config's batch_size / num_clusters / seed (determinism
+  /// contract — see DESIGN.md §11; std::runtime_error otherwise); training
+  /// continues at the saved epoch and, on a clean run, ends with parameters
+  /// bitwise identical to an uninterrupted run at any num_threads.
   bool resume = false;
   /// Partitioned (Cluster-GCN-style) training, DESIGN.md §13: when > 1 the
   /// model must implement ClusterTrainable (validated with dynamic_cast,
@@ -65,8 +66,8 @@ struct TrainConfig {
   /// work item per (window, cluster) pair; the gradient is averaged over
   /// items, so a full sweep of clusters covers every owned node exactly
   /// once. 0 or 1 = standard full-graph training (bitwise unchanged). The
-  /// value is part of the determinism contract but is NOT serialized into
-  /// checkpoints — resuming with a different num_clusters is undefined.
+  /// value is part of the checkpoint determinism contract: resuming with a
+  /// different num_clusters is rejected.
   std::size_t num_clusters = 0;
 };
 

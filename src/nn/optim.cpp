@@ -239,7 +239,7 @@ void save_training_checkpoint(const std::string& path,
   std::ostringstream payload;
   payload << std::setprecision(17);  // lossless binary64 text round trip
   payload << "epoch " << ckpt.epoch << "\n";
-  payload << "contract " << ckpt.batch_size << " " << ckpt.num_threads << " "
+  payload << "contract " << ckpt.batch_size << " " << ckpt.num_clusters << " "
           << ckpt.seed << "\n";
   payload << "rng";
   for (const std::uint64_t w : ckpt.rng.words) payload << " " << w;
@@ -269,7 +269,7 @@ void save_training_checkpoint(const std::string& path,
     if (!os) {
       throw std::runtime_error("save_training_checkpoint: cannot open " + tmp);
     }
-    os << "rihgcn-train-ckpt v2\n";
+    os << "rihgcn-train-ckpt v3\n";
     os << "crc32 " << crc32(bytes) << " " << bytes.size() << "\n";
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     os.flush();
@@ -292,7 +292,14 @@ TrainCheckpoint load_training_checkpoint(
   }
   std::string magic, version;
   is >> magic >> version;
-  if (magic != "rihgcn-train-ckpt" || version != "v2") {
+  if (magic == "rihgcn-train-ckpt" && version == "v2") {
+    throw std::runtime_error(
+        "load_training_checkpoint: " + path +
+        " is a v2 checkpoint: v2 keyed its determinism contract on the "
+        "trainer thread count, which v3 training no longer depends on, so it "
+        "cannot resume bitwise; restart the run");
+  }
+  if (magic != "rihgcn-train-ckpt" || version != "v3") {
     throw std::runtime_error("load_training_checkpoint: bad header in " +
                              path);
   }
@@ -320,7 +327,7 @@ TrainCheckpoint load_training_checkpoint(
   expect_keyword(payload, "epoch");
   payload >> ckpt.epoch;
   expect_keyword(payload, "contract");
-  payload >> ckpt.batch_size >> ckpt.num_threads >> ckpt.seed;
+  payload >> ckpt.batch_size >> ckpt.num_clusters >> ckpt.seed;
   expect_keyword(payload, "rng");
   int has_cached = 0;
   for (std::uint64_t& w : ckpt.rng.words) payload >> w;

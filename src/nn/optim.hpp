@@ -2,7 +2,7 @@
 // paper's training recipe, §IV-B3), early stopping on validation loss
 // (patience 6 in the paper), and parameter (de)serialization for
 // checkpointing — including the durable, CRC-verified training checkpoint
-// (rihgcn-train-ckpt v2) that carries optimizer moments, epoch counter and
+// (rihgcn-train-ckpt v3) that carries optimizer moments, epoch counter and
 // RNG state so an interrupted run resumes bitwise-identically
 // (DESIGN.md §11).
 #pragma once
@@ -132,25 +132,28 @@ void load_parameters(std::istream& is,
 void restore_values(const std::vector<Matrix>& snapshot,
                     const std::vector<ad::Parameter*>& params);
 
-// ---- Durable training checkpoints (rihgcn-train-ckpt v2) -------------------
+// ---- Durable training checkpoints (rihgcn-train-ckpt v3) -------------------
 //
 // Everything a mid-training snapshot needs for a bitwise-identical resume:
 // parameters AND Adam moments/step/lr, the epoch counter, the trainer RNG
 // state (mini-batch shuffling), early-stopping monitor state, numerical-guard
 // state, the best-epoch parameter snapshot, and the determinism contract
-// (batch size / thread count / seed — a resume under a different value would
-// silently change floating-point accumulation order, so loading verifies
-// them). The payload is covered by a CRC32 so a torn or bit-flipped file is
-// rejected instead of silently restoring garbage; writes go to a temp file
-// and rename into place, so a crash mid-write never clobbers the previous
-// good checkpoint.
+// (batch size / cluster count / seed — a resume under a different value would
+// train on different work items or a different shuffle, so the trainer
+// verifies them). The thread count is not part of the contract: gradients
+// reduce in work-item order, so a run may resume on any number of workers.
+// v2 files, which keyed the contract on the thread count, are rejected with
+// an error that names the version. The payload is covered by a CRC32 so a
+// torn or bit-flipped file is rejected instead of silently restoring
+// garbage; writes go to a temp file and rename into place, so a crash
+// mid-write never clobbers the previous good checkpoint.
 
 struct TrainCheckpoint {
   /// Epochs fully completed when the snapshot was taken; resume starts here.
   std::size_t epoch = 0;
   // Determinism contract — must match the resuming TrainConfig exactly.
   std::size_t batch_size = 0;
-  std::size_t num_threads = 0;
+  std::size_t num_clusters = 0;
   std::uint64_t seed = 0;
   RngState rng;
   AdamOptimizer::State adam;
@@ -179,7 +182,7 @@ void save_training_checkpoint(const std::string& path,
                               const std::vector<ad::Parameter*>& params);
 /// Load a checkpoint written by save_training_checkpoint, verifying the CRC
 /// and restoring parameter values in place. Throws std::runtime_error on a
-/// bad header, CRC mismatch, truncation, or parameter shape/count mismatch.
+/// bad header (including a v2 file), CRC mismatch, truncation, or parameter shape/count mismatch.
 [[nodiscard]] TrainCheckpoint load_training_checkpoint(
     const std::string& path, const std::vector<ad::Parameter*>& params);
 

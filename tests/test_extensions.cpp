@@ -315,14 +315,20 @@ TEST(ParallelTrainer, MatchesSerialLoss) {
   auto m2 = make();
   const auto r1 = core::train_model(*m1, *p.sampler, p.split, serial_cfg);
   const auto r2 = core::train_model(*m2, *p.sampler, p.split, parallel_cfg);
-  // Same windows, same init, same batch partition -> identical losses up to
-  // floating-point reduction order.
+  // Same windows, same init, same batch partition, and gradients reduced in
+  // work-item order -> bitwise identical losses and parameters.
   ASSERT_EQ(r1.train_losses.size(), r2.train_losses.size());
   for (std::size_t e = 0; e < r1.train_losses.size(); ++e) {
-    EXPECT_NEAR(r1.train_losses[e], r2.train_losses[e],
-                1e-6 * (1.0 + std::abs(r1.train_losses[e])));
+    EXPECT_EQ(r1.train_losses[e], r2.train_losses[e]) << "epoch " << e;
   }
-  EXPECT_NEAR(r1.best_val_mae, r2.best_val_mae, 1e-6);
+  EXPECT_EQ(r1.val_maes, r2.val_maes);
+  EXPECT_EQ(r1.best_val_mae, r2.best_val_mae);
+  const auto p1 = m1->parameters();
+  const auto p2 = m2->parameters();
+  ASSERT_EQ(p1.size(), p2.size());
+  for (std::size_t i = 0; i < p1.size(); ++i) {
+    EXPECT_EQ(p1[i]->value(), p2[i]->value()) << "parameter #" << i;
+  }
 }
 
 // ---- MAPE ---------------------------------------------------------------------

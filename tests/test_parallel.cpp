@@ -390,25 +390,30 @@ TEST(ParallelDeterminism, TrainedParametersBitwiseEqualSerialVsParallel) {
   tcfg.batch_size = 4;
   tcfg.max_train_windows = 8;
   tcfg.max_val_windows = 4;
-  // Kernel-level parallelism only: the trainer's own data-parallel workers
-  // reduce gradient sinks in a thread-count-dependent order, so that axis
-  // is pinned to 1 (its determinism is per-count, not cross-count).
-  tcfg.num_threads = 1;
 
-  auto run = [&](std::size_t threads) {
-    BackendGuard guard(threads);
+  // Both parallel axes: the kernel pool and the trainer's batch workers.
+  // Gradients reduce in work-item order, so neither may move a bit.
+  auto run = [&](std::size_t kernel_threads, std::size_t batch_workers) {
+    BackendGuard guard(kernel_threads);
     auto model = fixture.make_model();
-    (void)core::train_model(*model, *fixture.sampler, split, tcfg);
+    core::TrainConfig cfg = tcfg;
+    cfg.num_threads = batch_workers;
+    (void)core::train_model(*model, *fixture.sampler, split, cfg);
     std::vector<Matrix> out;
     for (ad::Parameter* p : model->parameters()) out.push_back(p->value());
     return out;
   };
 
-  const std::vector<Matrix> serial = run(1);
-  const std::vector<Matrix> parallel = run(4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]) << "parameter #" << i;
+  const std::vector<Matrix> reference = run(1, 1);
+  for (const std::size_t k : {1u, 4u}) {
+    for (const std::size_t w : {1u, 2u, 3u, 4u}) {
+      const std::vector<Matrix> trained = run(k, w);
+      ASSERT_EQ(trained.size(), reference.size());
+      for (std::size_t i = 0; i < trained.size(); ++i) {
+        EXPECT_EQ(trained[i], reference[i])
+            << "k=" << k << " w=" << w << " parameter #" << i;
+      }
+    }
   }
 }
 

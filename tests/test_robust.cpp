@@ -230,7 +230,7 @@ TEST(TrainCheckpoint, SaveLoadRoundTrip) {
   nn::TrainCheckpoint ckpt;
   ckpt.epoch = 7;
   ckpt.batch_size = 8;
-  ckpt.num_threads = 2;
+  ckpt.num_clusters = 3;
   ckpt.seed = 42;
   ckpt.rng = rng.state();
   ckpt.adam = opt.state();
@@ -252,7 +252,7 @@ TEST(TrainCheckpoint, SaveLoadRoundTrip) {
 
   EXPECT_EQ(back.epoch, 7u);
   EXPECT_EQ(back.batch_size, 8u);
-  EXPECT_EQ(back.num_threads, 2u);
+  EXPECT_EQ(back.num_clusters, 3u);
   EXPECT_EQ(back.seed, 42u);
   EXPECT_EQ(back.rng.words, ckpt.rng.words);
   EXPECT_EQ(back.rng.has_cached_normal, ckpt.rng.has_cached_normal);
@@ -292,7 +292,6 @@ TEST(TrainCheckpoint, FlippedPayloadByteIsRejected) {
   nn::AdamOptimizer opt(params);
   nn::TrainCheckpoint ckpt;
   ckpt.batch_size = 8;
-  ckpt.num_threads = 1;
   ckpt.adam = opt.state();
   const std::string path = testing::TempDir() + "rihgcn_corrupt.ckpt";
   nn::save_training_checkpoint(path, ckpt, params);
@@ -314,6 +313,36 @@ TEST(TrainCheckpoint, FlippedPayloadByteIsRejected) {
     FAIL() << "corrupt checkpoint was accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("CRC"), std::string::npos);
+  }
+}
+
+TEST(TrainCheckpoint, V2HeaderIsRejectedWithNamedError) {
+  ad::Parameter a(Matrix(2, 2, 0.5), "a");
+  std::vector<ad::Parameter*> params{&a};
+  nn::AdamOptimizer opt(params);
+  nn::TrainCheckpoint ckpt;
+  ckpt.adam = opt.state();
+  const std::string path = testing::TempDir() + "rihgcn_v2.ckpt";
+  nn::save_training_checkpoint(path, ckpt, params);
+
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  in.close();
+  const std::string v3 = "rihgcn-train-ckpt v3\n";
+  ASSERT_EQ(bytes.compare(0, v3.size(), v3), 0);
+  bytes.replace(0, v3.size(), "rihgcn-train-ckpt v2\n");
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+  out.close();
+
+  try {
+    (void)nn::load_training_checkpoint(path, params);
+    FAIL() << "v2 checkpoint was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("v2"), std::string::npos) << what;
+    EXPECT_NE(what.find("thread count"), std::string::npos) << what;
   }
 }
 
@@ -346,37 +375,37 @@ TEST(TrainCheckpoint, MissingFileIsRejected) {
 }
 
 // The headline acceptance test: kill a run mid-schedule, resume it, and the
-// final parameters are bitwise identical to the uninterrupted run.
+// final parameters are bitwise identical to the uninterrupted run — even
+// with each of the three runs on a different number of batch workers.
 TEST(TrainCheckpoint, KillAndResumeIsBitwiseIdentical) {
   TrainFixture f;
-  core::TrainConfig base;
-  base.max_epochs = 6;
-  base.max_train_windows = 24;
-  base.max_val_windows = 12;
-  base.num_threads = 1;
-
-  // Run A: uninterrupted, 6 epochs.
-  baselines::FcLstmModel model_a(4, f.nb_config());
-  const core::TrainReport ra =
-      core::train_model(model_a, *f.sampler, f.split, base);
-
-  // Run B: "killed" after 3 epochs, checkpointing every epoch.
   const std::string path = testing::TempDir() + "rihgcn_resume.ckpt";
+  const auto train = [&](baselines::FcLstmModel& model,
+                         std::size_t num_threads, std::size_t max_epochs,
+                         bool checkpoint, bool resume) {
+    core::TrainConfig tc;
+    tc.max_epochs = max_epochs;
+    tc.max_train_windows = 24;
+    tc.max_val_windows = 12;
+    tc.num_threads = num_threads;
+    if (checkpoint) tc.checkpoint_path = path;
+    tc.resume = resume;
+    return core::train_model(model, *f.sampler, f.split, tc);
+  };
+
+  // Run A: uninterrupted, 6 epochs on 2 workers.
+  baselines::FcLstmModel model_a(4, f.nb_config());
+  const core::TrainReport ra = train(model_a, 2, 6, false, false);
+
+  // Run B: "killed" after 3 epochs on 4 workers, checkpointing every epoch.
   baselines::FcLstmModel model_b(4, f.nb_config());
-  core::TrainConfig tc_b = base;
-  tc_b.max_epochs = 3;
-  tc_b.checkpoint_path = path;
-  const core::TrainReport rb =
-      core::train_model(model_b, *f.sampler, f.split, tc_b);
+  const core::TrainReport rb = train(model_b, 4, 3, true, false);
   EXPECT_GE(rb.checkpoints_written, 3u);
 
-  // Run C: fresh process image resumes B's checkpoint to the full schedule.
+  // Run C: fresh process image resumes B's checkpoint to the full schedule
+  // on 1 worker.
   baselines::FcLstmModel model_c(4, f.nb_config());
-  core::TrainConfig tc_c = base;
-  tc_c.checkpoint_path = path;
-  tc_c.resume = true;
-  const core::TrainReport rc =
-      core::train_model(model_c, *f.sampler, f.split, tc_c);
+  const core::TrainReport rc = train(model_c, 1, 6, true, true);
   EXPECT_EQ(rc.resumed_epoch, 3u);
   EXPECT_EQ(rc.epochs_run + rc.resumed_epoch, ra.epochs_run);
 
@@ -410,6 +439,16 @@ TEST(TrainCheckpoint, ResumeRejectsContractMismatch) {
   bad.resume = true;
   bad.seed = tc.seed + 1;  // different shuffle stream => refuse
   EXPECT_THROW((void)core::train_model(model2, *f.sampler, f.split, bad),
+               std::runtime_error);
+
+  // A different num_clusters is refused too. The contract compares the
+  // config values exactly, as it does for batch_size and seed (FcLstm is
+  // not ClusterTrainable, so 1 is the only other value it accepts).
+  baselines::FcLstmModel model3(4, f.nb_config());
+  bad = tc;
+  bad.resume = true;
+  bad.num_clusters = tc.num_clusters + 1;
+  EXPECT_THROW((void)core::train_model(model3, *f.sampler, f.split, bad),
                std::runtime_error);
 }
 

@@ -125,43 +125,52 @@ TEST(ThreadScaling, BatchGradientsScaleAcrossCores) {
   ScalingFixture fx;
   const std::vector<std::size_t> idx{10, 20, 30, 40, 50, 60, 70, 80};
 
-  // Mirrors core/trainer.cpp parallel_batch_gradients: persistent crew,
-  // chunk w IS worker w, per-worker arena tape + sink, strided slice.
-  const auto run_batch = [&](ThreadPool& crew, std::size_t workers,
-                             std::vector<std::unique_ptr<ad::Tape>>& tapes) {
-    std::vector<ad::Tape::GradSink> sinks(workers);
-    crew.parallel_for(0, workers, 1, [&](std::size_t w, std::size_t) {
-      for (std::size_t b = w; b < idx.size(); b += workers) {
+  // Mirrors core/trainer.cpp batch_gradients: persistent crew, worker w
+  // takes the strided items {w, w+workers, ...} on its own arena tape, each
+  // item backpropagates into its own sink, and the sinks reduce in item
+  // order. One worker runs the body directly, as the trainer does.
+  ThreadPool crew(4);
+  std::vector<std::unique_ptr<ad::Tape>> tapes;
+  for (std::size_t w = 0; w < 4; ++w) {
+    tapes.push_back(std::make_unique<ad::Tape>());
+  }
+  const auto run_batch = [&](std::size_t workers) {
+    std::vector<ad::Tape::GradSink> sinks(idx.size());
+    const auto run_worker = [&](std::size_t w, std::size_t) {
+      for (std::size_t p = w; p < idx.size(); p += workers) {
         ad::Tape& tape = *tapes[w];
         tape.reset();
         ad::Var loss =
-            fx.model->training_loss(tape, fx.sampler->make_window(idx[b]));
-        tape.backward_into(loss, sinks[w]);
+            fx.model->training_loss(tape, fx.sampler->make_window(idx[p]));
+        tape.backward_into(loss, sinks[p]);
       }
-    });
+    };
+    if (workers == 1) {
+      run_worker(0, 1);
+    } else {
+      crew.parallel_for(0, workers, 1, run_worker);
+    }
     for (auto& sink : sinks) {
       for (auto& [param, grad] : sink) param->grad() += grad;
     }
   };
 
-  ThreadPool crew1(1);
-  ThreadPool crew4(4);
-  std::vector<std::unique_ptr<ad::Tape>> tapes;
-  for (std::size_t w = 0; w < 4; ++w) {
-    tapes.push_back(std::make_unique<ad::Tape>());
-  }
   const auto serial = [&] {
     for (ad::Parameter* p : fx.model->parameters()) p->zero_grad();
-    run_batch(crew1, 1, tapes);
+    run_batch(1);
   };
   const auto threaded = [&] {
     for (ad::Parameter* p : fx.model->parameters()) p->zero_grad();
-    run_batch(crew4, 4, tapes);
+    run_batch(4);
   };
+  // The one-worker body runs outside the crew, so its kernels would reach
+  // the global pool; pin that to 1 so the ratio measures the batch axis.
+  ThreadPool::set_global_threads(1);
   serial();  // warmup: arena tapes size themselves, caches fill
   threaded();
   const double t1 = best_of_sec(serial, 3);
   const double t4 = best_of_sec(threaded, 3);
+  ThreadPool::set_global_threads(0);
   const double speedup = t1 / t4;
   EXPECT_GE(speedup, min_scaling_factor())
       << "batch gradients @1T " << t1 * 1e3 << "ms vs @4T " << t4 * 1e3

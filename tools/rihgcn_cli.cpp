@@ -234,8 +234,8 @@ int cmd_train(const Args& args) {
   tc.verbose = args.count("quiet") == 0;
   // Durable training checkpoints (crash recovery): --checkpoint writes a
   // CRC-verified rihgcn-train-ckpt file every --checkpoint-every epochs;
-  // --resume continues from it (same seed/batch/threads => bitwise-identical
-  // results to an uninterrupted run).
+  // --resume continues from it (same seed/batch => bitwise-identical results
+  // to an uninterrupted run, at any --threads).
   tc.checkpoint_path = get(args, "checkpoint", "");
   tc.checkpoint_every = get_size(args, "checkpoint-every", 1);
   tc.resume = args.count("resume") > 0;
@@ -345,7 +345,8 @@ void usage() {
       "           --threads T --quiet]\n"
       "           [--checkpoint FILE --checkpoint-every N --resume]\n"
       "           (durable training state; --resume continues a killed run\n"
-      "            bitwise-identically given the same seed/batch/threads)\n"
+      "            bitwise-identically given the same seed/batch, at any\n"
+      "            --threads)\n"
       "  evaluate --data FILE --ckpt CKPT [--max-windows N]\n"
       "  forecast --data FILE --ckpt CKPT [--window T]\n"
       "  summary  --data FILE --ckpt CKPT\n");

@@ -16,6 +16,8 @@
 # ServePool.StormRacesWorkersBreakerPublishAndDrain races 3 pool workers
 # against 4 clients, a poisoned publisher, the circuit breaker, and drain()
 # with exact counter accounting.
+# ParallelTrainer* and ParallelDeterminism* run the trainer's batch workers,
+# which write disjoint slots of one shared per-item gradient-sink vector.
 #
 # Usage: tools/run_tsan.sh [extra gtest filter]
 set -euo pipefail
@@ -27,7 +29,7 @@ build_dir=build-tsan
 cmake -B "${build_dir}" -S . -DRIHGCN_SANITIZE=thread >/dev/null
 cmake --build "${build_dir}" -j --target rihgcn_tests
 
-filter="${1:-KernelConformance*:ThreadPool*:MatmulParallel*:ParallelDeterminism*:*ParallelBackendGrad*:CsrStructure*:CsrSpmm*:*SparseAndDenseTraining*:TapeArena*:FusedCell*:NumericalGuard*:TrainCheckpoint*:FaultInjection*:OnlineRobust*:OnlineMemo*:RobustPrimitives*:Engine*:EventLoop*:Serve*:ExecPool*}"
+filter="${1:-KernelConformance*:ThreadPool*:MatmulParallel*:ParallelDeterminism*:ParallelTrainer*:*ParallelBackendGrad*:CsrStructure*:CsrSpmm*:*SparseAndDenseTraining*:TapeArena*:FusedCell*:NumericalGuard*:TrainCheckpoint*:FaultInjection*:OnlineRobust*:OnlineMemo*:RobustPrimitives*:Engine*:EventLoop*:Serve*:ExecPool*}"
 
 # tools/tsan.supp: exception_ptr refcounts live in uninstrumented
 # libstdc++.so; see the file for why that one frame is a false positive.
